@@ -10,7 +10,9 @@ Configuration is a flat key = value text file ('#' starts a comment) plus
 command-line overrides. Keys that apply to a single method are prefixed
 with the method name, e.g. 'svrg.epoch = 500'. Given the same config and
 seed, every emitted file is byte-identical between runs; wall-clock times
-are therefore reported on stderr only, never written into results.
+are therefore reported on stderr only, never written into results: one
+line per method with its chains' wall seconds, microseconds per
+chain-step, and component-gradient queries per second.
 
 Example config:
 
@@ -257,6 +259,20 @@ def _method_summary(config, model, method, ensemble):
     return summary
 
 
+def _report_timing(method, n_steps, ensemble):
+    """One stderr line: the method's chain wall time, per step and per query."""
+    records = ensemble.records
+    wall = sum(r.wall_time for r in records)
+    chain_steps = max(n_steps * len(records), 1)
+    queries = sum(r.total_queries for r in records)
+    print(
+        f"{method}: {wall:.3f} s wall over {len(records)} chain(s), "
+        f"{1e6 * wall / chain_steps:.3g} us/chain-step, "
+        f"{queries / wall if wall > 0 else math.inf:.3g} queries/s",
+        file=sys.stderr,
+    )
+
+
 def _write(out_dir, name, text):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -319,7 +335,9 @@ def run_synthetic(config):
     }
     table = [["method", "potential_mse", "gradient_mse", "final_w2", "mean_queries_per_step"]]
     for method in config.methods:
-        ensemble = run_ensemble(config.sampler_config(method), model)
+        sampler_config = config.sampler_config(method)
+        ensemble = run_ensemble(sampler_config, model)
+        _report_timing(method, sampler_config.n_steps, ensemble)
         w2 = wasserstein_tracker(ensemble.records, target_mean, target_cov)
         entry = _method_summary(config, model, method, ensemble)
         entry["potential_mse"] = metrics.potential_mse(ensemble.records, reference)
@@ -344,7 +362,7 @@ def run_synthetic(config):
         gradient_cell = (
             f"{entry['gradient_mse']:.6g}" if "gradient_mse" in entry else "off"
         )
-        queries = np.mean(entry["total_queries"]) / max(config.steps, 1)
+        queries = np.mean(entry["total_queries"]) / max(entry["n_steps"], 1)
         table.append(
             [
                 method,
@@ -399,7 +417,9 @@ def run_logistic(config):
         "methods": {},
     }
     for method in config.methods:
-        ensemble = run_ensemble(config.sampler_config(method), model)
+        sampler_config = config.sampler_config(method)
+        ensemble = run_ensemble(sampler_config, model)
+        _report_timing(method, sampler_config.n_steps, ensemble)
         entry = _method_summary(config, model, method, ensemble)
         # held-out NLL along the trace, averaged across chains
         nll_rows = np.mean(

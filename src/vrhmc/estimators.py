@@ -26,9 +26,15 @@ mseb_descriptor returns the constants; conditional_mean_oracle computes
 exact conditional expectations by enumerating every batch (and restart)
 outcome, which is what the bias property tests check against.
 
-Randomness contract: each estimate() call draws the restart coin first
-(svrg and sarah only, and only when epoch_length > 1) and the batch
-indices second, so a fixed generator state determines the estimate.
+Randomness contract: each estimate(x, rng) call draws the restart coin
+first (svrg and sarah only, and only when epoch_length > 1) and the batch
+indices second, so a fixed generator state determines the estimate. That
+per-call draw order is unchanged when the caller passes nothing else.
+sg, saga and sarge (BATCH_ONLY_KINDS) draw nothing but their batch, so
+they also take estimate(x, rng, batch) with indices the caller drew.
+sampler.run_chain uses this at b = 1 < N: sample_batch_block draws m
+steps' indices in one call, exactly the indices m successive
+sample_batch calls on the same generator would return.
 """
 
 from __future__ import annotations
@@ -50,7 +56,9 @@ __all__ = [
     "SarahEstimator",
     "SargeEstimator",
     "make_estimator",
+    "BATCH_ONLY_KINDS",
     "sample_batch",
+    "sample_batch_block",
     "conditional_mean_oracle",
     "q_metric",
     "MsebDescriptor",
@@ -60,6 +68,10 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("full", "sg", "svrg", "saga", "sarah", "sarge")
+
+# kinds whose estimate() draws nothing but its batch, and so also takes a
+# batch drawn by the caller
+BATCH_ONLY_KINDS = ("sg", "saga", "sarge")
 
 # oracle enumeration refuses above this many batches
 _MAX_ENUMERATION = 10_000
@@ -87,6 +99,19 @@ def sample_batch(rng, n_components, batch_size):
     return rng.choice(n_components, size=batch_size, replace=False)
 
 
+def sample_batch_block(rng, n_components, batch_size, steps):
+    """The next `steps` sample_batch results drawn at once, one per row.
+
+    Only b = 1 < N batches can be drawn ahead: one integers(0, N,
+    size=(steps, 1)) call yields exactly the indices that `steps`
+    successive sample_batch calls on the same generator would. Other
+    sizes draw with choice or draw nothing, and get None.
+    """
+    if batch_size == 1 < n_components:
+        return rng.integers(0, n_components, size=(steps, 1))
+    return None
+
+
 class GradientEstimator:
     """Base class: owns per-chain memory and the gradient-query counter.
 
@@ -107,7 +132,11 @@ class GradientEstimator:
         self.query_count = 0
 
     def estimate(self, x, rng):
-        """Return the gradient estimate at x, updating memory and queries."""
+        """Return the gradient estimate at x, updating memory and queries.
+
+        sg, saga and sarge also accept batch=, an index array drawn by the
+        caller, in which case rng is not touched.
+        """
         raise NotImplementedError
 
     def _full_collapse(self):
@@ -135,8 +164,9 @@ class MinibatchGradient(GradientEstimator):
 
     kind = "sg"
 
-    def estimate(self, x, rng):
-        batch = sample_batch(rng, self.model.n_components, self.batch_size)
+    def estimate(self, x, rng, batch=None):
+        if batch is None:
+            batch = sample_batch(rng, self.model.n_components, self.batch_size)
         return self._apply(x, batch)
 
     def _apply(self, x, batch):
@@ -208,8 +238,9 @@ class SagaEstimator(GradientEstimator):
         self.query_count = model.n_components
         self._calls_since_resum = 0
 
-    def estimate(self, x, rng):
-        batch = sample_batch(rng, self.model.n_components, self.batch_size)
+    def estimate(self, x, rng, batch=None):
+        if batch is None:
+            batch = sample_batch(rng, self.model.n_components, self.batch_size)
         return self._apply(x, batch)
 
     def _apply(self, x, batch):
@@ -308,8 +339,9 @@ class SargeEstimator(GradientEstimator):
         self.query_count = model.n_components
         self._calls_since_resum = 0
 
-    def estimate(self, x, rng):
-        batch = sample_batch(rng, self.model.n_components, self.batch_size)
+    def estimate(self, x, rng, batch=None):
+        if batch is None:
+            batch = sample_batch(rng, self.model.n_components, self.batch_size)
         return self._apply(x, batch)
 
     def _apply(self, x, batch):

@@ -265,12 +265,19 @@ def noise_coefficients(params: DynamicsParams) -> NoiseCoefficients:
     )
 
 
-def sample_noise(coeffs: NoiseCoefficients, dimension, rng):
-    """Draw one step's correlated noise pair (e_x, e_v)."""
-    z = rng.standard_normal((2, dimension))
-    e_x = coeffs.l_xx * z[0]
-    e_v = coeffs.l_vx * z[0] + coeffs.l_vv * z[1]
-    return e_x, e_v
+def sample_noise(coeffs: NoiseCoefficients, dimension, rng, steps=None):
+    """Draw correlated step noise: one pair (e_x, e_v), or a block of them.
+
+    With steps=m the result is one (m, 2, dimension) array whose [k, 0]
+    and [k, 1] rows are step k's e_x and e_v. A block is bit-identical to
+    m successive one-step draws from the same generator, because
+    standard_normal fills its output in the same order either way.
+    """
+    z = rng.standard_normal((1 if steps is None else steps, 2, dimension))
+    e_v = coeffs.l_vx * z[:, 0] + coeffs.l_vv * z[:, 1]
+    z[:, 0] *= coeffs.l_xx
+    z[:, 1] = e_v
+    return (z[0, 0], z[0, 1]) if steps is None else z
 
 
 def _advance(x, v, gradient, coeffs, e_x, e_v):

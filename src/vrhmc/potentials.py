@@ -71,6 +71,17 @@ class PotentialModel:
         x = self._check_point(x)
         return self.gradient_batch(np.arange(self.n_components), x).sum(axis=0)
 
+    def gradient_rows(self, points):
+        """Full gradients at every row of an (n, d) array of points.
+
+        Row r equals gradient_full(points[r]) bit for bit, so diagnostics
+        evaluated here after a run match the ones a per-step loop would
+        have computed. The default loops over gradient_full; subclasses
+        may vectorize only where that identity still holds.
+        """
+        points = self._check_points(points)
+        return np.array([self.gradient_full(p) for p in points]).reshape(points.shape)
+
     def potential_component(self, i, x):
         """Value of the single component f_i at x."""
         raise NotImplementedError
@@ -89,6 +100,14 @@ class PotentialModel:
                 f"point has shape {x.shape}, expected ({self.dimension},)"
             )
         return x
+
+    def _check_points(self, points):
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.dimension:
+            raise ValueError(
+                f"points have shape {points.shape}, expected (n, {self.dimension})"
+            )
+        return points
 
     def _check_index(self, i):
         i = int(i)
@@ -195,6 +214,13 @@ class QuadraticPotential(PotentialModel):
     def gradient_full(self, x):
         x = self._check_point(x)
         return 2.0 * (self.precision @ (x - self._anchor_mean))
+
+    def gradient_rows(self, points):
+        # a stacked matrix-vector product runs the same BLAS gemv per row
+        # as gradient_full does, so the rows match it bit for bit
+        points = self._check_points(points)
+        centered = points - self._anchor_mean
+        return 2.0 * (self.precision @ centered[:, :, None])[:, :, 0]
 
     def potential_component(self, i, x):
         i = self._check_index(i)

@@ -7,6 +7,21 @@ estimator's batch and restart draws and one for the integrator noise, so
 changing the estimator never perturbs the thermal noise sequence. That
 makes runs with different estimators under the same seed exactly paired,
 and makes full-batch runs collapse bit-for-bit onto full-gradient runs.
+
+The step loop draws its randomness in blocks of _BLOCK_STEPS steps: one
+integrator.sample_noise call per block for the noise, and, for sg, saga
+and sarge at b = 1 < N, one estimators.sample_batch_block call for the
+batch indices, which are handed to estimate(). Both blocks hold exactly
+the draws the same steps would make one at a time, so trajectories are
+bit-identical to a per-step loop. svrg and sarah interleave a restart
+coin with their batch on one stream and b > 1 batches come from choice,
+so those keep drawing inside estimate() once per step.
+
+Recording stays cheap inside the loop: a recorded row stores the
+position, the query count and (with diagnostics) the estimate. After the
+loop the potentials are evaluated with one potential_full call per row,
+and the squared gradient errors against one model.gradient_rows pass;
+both match what a per-step evaluation would have produced bit for bit.
 """
 
 from __future__ import annotations
@@ -16,8 +31,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .estimators import ESTIMATOR_KINDS, make_estimator, q_metric
-from .integrator import DynamicsParams, noise_coefficients, _advance
+from .estimators import (
+    BATCH_ONLY_KINDS,
+    ESTIMATOR_KINDS,
+    make_estimator,
+    q_metric,
+    sample_batch_block,
+)
+from .integrator import DynamicsParams, noise_coefficients, sample_noise, _advance
 from .metrics import GaussianSummary, bures_w2
 
 __all__ = [
@@ -34,6 +55,10 @@ __all__ = [
 # a chain is declared divergent when ||x|| exceeds this multiple of its
 # initial scale (with floor 1), which catches overflow long before inf
 _DIVERGENCE_FACTOR = 1e6
+
+# steps whose noise (and b = 1 batch indices) one generator call draws; a
+# block holds exactly the draws the same steps would make one at a time
+_BLOCK_STEPS = 256
 
 
 class ChainDivergence(RuntimeError):
@@ -56,8 +81,8 @@ class SamplerConfig:
 
     xi defaults to 1/L (resolved against the model at run time) and gamma
     to 2, which keeps delta = gamma xi h of order h/L. Diagnostics are
-    off by default: the squared gradient error costs an extra full
-    gradient per recorded step and q values cost O(N d).
+    off by default: the squared gradient error costs an exact gradient
+    per recorded row (evaluated after the loop) and q values cost O(N d).
     """
 
     n_steps: int
@@ -174,63 +199,73 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
     n_steps = config.n_steps
     stride = config.record_stride
     n_rows = 1 if n_steps == 0 else (n_steps + stride - 1) // stride
-    iterations = np.empty(n_rows, dtype=np.int64)
     queries = np.empty(n_rows, dtype=np.int64)
-    potentials = np.empty(n_rows)
     positions = np.empty((n_rows, d))
     velocities = np.empty((n_rows, d)) if config.record_velocity else None
-    grad_errs = np.empty(n_rows) if config.diagnostics else None
+    estimates = np.empty((n_rows, d)) if config.diagnostics else None
     q_values = np.empty(n_rows) if config.record_q else None
 
-    suppress = config.suppress_noise
-    diagnostics = config.diagnostics
+    batch_only = config.estimator in BATCH_ONLY_KINDS
+    estimate = estimator.estimate
     record_q = config.record_q
-    standard_normal = noise_rng.standard_normal
-    l_xx, l_vx, l_vv = coeffs.l_xx, coeffs.l_vx, coeffs.l_vv
 
     started = time.perf_counter()
     row = 0
-    for k in range(n_steps):
-        grad = estimator.estimate(x, est_rng)
-        recording = k % stride == 0
-        if recording:
-            iterations[row] = k
-            queries[row] = estimator.query_count
-            potentials[row] = model.potential_full(x)
-            positions[row] = x
-            if velocities is not None:
-                velocities[row] = v
-            if diagnostics:
-                err = grad - model.gradient_full(x)
-                grad_errs[row] = err @ err
-        if suppress:
-            e_x = e_v = 0.0
+    for first in range(0, n_steps, _BLOCK_STEPS):
+        m = min(_BLOCK_STEPS, n_steps - first)
+        if config.suppress_noise:
+            noise = np.zeros((m, 2, d))
         else:
-            z = standard_normal((2, d))
-            e_x = l_xx * z[0]
-            e_v = l_vx * z[0] + l_vv * z[1]
-        x_prev = x
-        x, v = _advance(x, v, grad, coeffs, e_x, e_v)
-        if recording:
-            if record_q:
-                q_values[row] = q_metric(model, x_prev, x)
-            row += 1
-        norm_sq = x @ x
-        if not norm_sq <= limit_sq:  # catches NaN as well as blowup
-            raise ChainDivergence(chain_id, k, coeffs.delta)
+            noise = sample_noise(coeffs, d, noise_rng, steps=m)
+        batches = None
+        if batch_only:
+            batches = sample_batch_block(
+                est_rng, model.n_components, config.batch_size, m
+            )
+        for i in range(m):
+            k = first + i
+            if batches is None:
+                grad = estimate(x, est_rng)
+            else:
+                grad = estimate(x, est_rng, batches[i])
+            recording = k % stride == 0
+            if recording:
+                queries[row] = estimator.query_count
+                positions[row] = x
+                if velocities is not None:
+                    velocities[row] = v
+                if estimates is not None:
+                    estimates[row] = grad
+            x_prev = x
+            x, v = _advance(x, v, grad, coeffs, noise[i, 0], noise[i, 1])
+            if recording:
+                if record_q:
+                    q_values[row] = q_metric(model, x_prev, x)
+                row += 1
+            norm_sq = x @ x
+            if not norm_sq <= limit_sq:  # catches NaN as well as blowup
+                raise ChainDivergence(chain_id, k, coeffs.delta)
     if n_steps == 0:
-        iterations[0] = 0
         queries[0] = estimator.query_count
-        potentials[0] = model.potential_full(x)
         positions[0] = x
         if velocities is not None:
             velocities[0] = v
-        if diagnostics:
-            grad_errs[0] = np.nan
         if record_q:
             q_values[0] = np.nan
+    potentials = np.fromiter(
+        (model.potential_full(p) for p in positions), dtype=float, count=n_rows
+    )
+    if estimates is None:
+        grad_errs = None
+    elif n_steps == 0:
+        grad_errs = np.full(1, np.nan)
+    else:
+        err = estimates - model.gradient_rows(positions)
+        # stacked (1, d) @ (d, 1) products run the same BLAS dot as err @ err
+        grad_errs = (err[:, None, :] @ err[:, :, None])[:, 0, 0]
     wall = time.perf_counter() - started
 
+    iterations = np.arange(n_rows, dtype=np.int64) * stride
     tail = iterations >= config.burn_in
     running = np.full(n_rows, np.nan)
     if tail.any():

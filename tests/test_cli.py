@@ -175,6 +175,37 @@ class TestSynthetic:
             assert (out / name).read_bytes() == before[name], name
 
 
+    def test_queries_per_step_uses_each_methods_step_count(self, tmp_path):
+        config = load_config(
+            write_config(tmp_path, TINY_SYNTHETIC + "sg.steps = 40\n"),
+            {"out": str(tmp_path / "results")},
+        )
+        run_synthetic(config)
+        rows = (tmp_path / "results" / "comparison.txt").read_text().splitlines()
+        per_step = {row.split()[0]: row.split()[-1] for row in rows[1:]}
+        # full queries all N = 8 components per step, sg at b = 1 one
+        assert per_step == {"full": "8", "sg": "1"}
+
+    def test_wall_times_go_to_stderr_not_into_results(self, tmp_path, capsys):
+        config = load_config(
+            write_config(tmp_path, TINY_SYNTHETIC),
+            {"out": str(tmp_path / "results")},
+        )
+        out = tmp_path / "results"
+        names = ("full.csv", "sg.csv", "comparison.txt", "summary.json")
+        runs = []
+        for _ in range(2):
+            run_synthetic(config)
+            runs.append({name: (out / name).read_bytes() for name in names})
+        # the runs' wall times differ, so identical bytes mean none leaked in
+        assert runs[0] == runs[1]
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["full", "sg"] * 2
+        for line in lines:
+            assert "s wall over 2 chain(s)" in line
+            assert "us/chain-step" in line and "queries/s" in line
+
+
 class TestLogistic:
     @pytest.fixture
     def data_file(self, tmp_path):
@@ -189,7 +220,7 @@ class TestLogistic:
         path.write_text("\n".join(lines) + "\n")
         return path
 
-    def test_emits_expected_files(self, tmp_path, data_file):
+    def test_emits_expected_files(self, tmp_path, data_file, capsys):
         config = load_config(
             None,
             {
@@ -207,6 +238,8 @@ class TestLogistic:
         )
         summary = run_logistic(config)
         out = tmp_path / "results"
+        timing = capsys.readouterr().err.splitlines()
+        assert [line.split(":")[0] for line in timing] == ["full", "sg"]
         assert summary["dataset"]["n_train"] == 12
         assert summary["dataset"]["n_test"] == 12
         assert summary["dataset"]["n_features"] == 3

@@ -23,6 +23,7 @@ from vrhmc.estimators import (
     mseb_diagnostics,
     q_metric,
     sample_batch,
+    sample_batch_block,
 )
 from vrhmc.potentials import LogisticPotential, QuadraticPotential
 
@@ -79,6 +80,33 @@ class TestSampleBatch:
             sample_batch(rng, 5, 0)
         with pytest.raises(ValueError):
             sample_batch(rng, 5, 6)
+
+
+class TestCallerDrawnBatches:
+    @pytest.mark.parametrize("kind", ("sg", "saga", "sarge"))
+    def test_block_of_indices_replays_per_call_draws(self, kind):
+        model = logistic(2)
+        x0 = np.zeros(model.dimension)
+        drawing = make_estimator(kind, model, x0)
+        given = make_estimator(kind, model, x0)
+        rng = np.random.default_rng(8)
+        block = sample_batch_block(np.random.default_rng(8), model.n_components, 1, 20)
+        assert block.shape == (20, 1)
+        untouched = np.random.default_rng(1)
+        path = np.random.default_rng(3).standard_normal((20, model.dimension))
+        for x, batch in zip(path, block):
+            np.testing.assert_array_equal(
+                given.estimate(x, untouched, batch), drawing.estimate(x, rng)
+            )
+        assert given.query_count == drawing.query_count
+        assert untouched.integers(1 << 30) == np.random.default_rng(1).integers(1 << 30)
+
+    def test_only_singleton_batches_are_drawn_ahead(self):
+        rng = np.random.default_rng(0)
+        assert sample_batch_block(rng, 8, 3, 5) is None
+        assert sample_batch_block(rng, 8, 8, 5) is None
+        assert sample_batch_block(rng, 1, 1, 5) is None
+        assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
 
 
 class TestQueryAccounting:

@@ -250,6 +250,18 @@ class TestStep:
         # streams stay aligned afterwards
         assert rng.integers(1 << 30) == shadow.integers(1 << 30)
 
+    def test_noise_block_equals_successive_single_draws(self):
+        coeffs = noise_coefficients(DynamicsParams(2.0, 0.7, 0.3))
+        rng = np.random.default_rng(5)
+        shadow = np.random.default_rng(5)
+        block = sample_noise(coeffs, 3, rng, steps=7)
+        assert block.shape == (7, 2, 3)
+        for k in range(7):
+            e_x, e_v = sample_noise(coeffs, 3, shadow)
+            np.testing.assert_array_equal(block[k, 0], e_x)
+            np.testing.assert_array_equal(block[k, 1], e_v)
+        assert rng.integers(1 << 30) == shadow.integers(1 << 30)
+
 
 class TestStationaryCovariance:
     def make_hessian(self, rng, d):

@@ -271,3 +271,33 @@ class TestLogisticPotential:
             LogisticPotential(good, np.ones(2))
         with pytest.raises(ValueError):
             LogisticPotential(good, np.ones(3), ridge=-0.1)
+
+
+class TestGradientRows:
+    @pytest.mark.parametrize("d", (1, 2, 5, 20, 64))
+    def test_quadratic_rows_match_gradient_full_bitwise(self, d):
+        model = random_quadratic(d, d=d)
+        # rows taken out of a larger buffer, as run_chain's recorded positions are
+        points = 3.0 * np.random.default_rng(d).standard_normal((41, d))[1:]
+        rows = model.gradient_rows(points)
+        assert rows.shape == points.shape
+        for point, row in zip(points, rows):
+            np.testing.assert_array_equal(row, model.gradient_full(point.copy()))
+
+    def test_default_loop_matches_gradient_full(self):
+        model = random_logistic(3)
+        points = np.random.default_rng(4).standard_normal((9, model.dimension))
+        rows = model.gradient_rows(points)
+        for point, row in zip(points, rows):
+            np.testing.assert_array_equal(row, model.gradient_full(point))
+        assert model.gradient_rows(np.empty((0, model.dimension))).shape == (
+            0,
+            model.dimension,
+        )
+
+    def test_rejects_points_of_the_wrong_shape(self):
+        for model in (random_quadratic(0), random_logistic(0)):
+            with pytest.raises(ValueError):
+                model.gradient_rows(np.zeros(model.dimension))
+            with pytest.raises(ValueError):
+                model.gradient_rows(np.zeros((3, model.dimension + 1)))
