@@ -24,7 +24,6 @@ from .estimators import (
     GradientEstimator,
     MinibatchGradient,
     MsebDescriptor,
-    MsebDiagnostics,
     SagaEstimator,
     SarahEstimator,
     SargeEstimator,
@@ -32,18 +31,15 @@ from .estimators import (
     conditional_mean_oracle,
     make_estimator,
     mseb_descriptor,
-    mseb_diagnostics,
     q_metric,
     sample_batch,
 )
 from .integrator import (
-    ChainState,
     DynamicsParams,
     NoiseCoefficients,
     noise_coefficients,
     sample_noise,
     stationary_covariance,
-    step,
 )
 from .metrics import (
     GaussianSummary,
@@ -66,7 +62,6 @@ from .sampler import (
     SamplerConfig,
     run_chain,
     run_ensemble,
-    run_record_csv,
     wasserstein_tracker,
 )
 
@@ -74,7 +69,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChainDivergence",
-    "ChainState",
     "Dataset",
     "DynamicsParams",
     "ESTIMATOR_KINDS",
@@ -86,7 +80,6 @@ __all__ = [
     "LogisticPotential",
     "MinibatchGradient",
     "MsebDescriptor",
-    "MsebDiagnostics",
     "NoiseCoefficients",
     "PotentialModel",
     "QuadraticPotential",
@@ -103,21 +96,18 @@ __all__ = [
     "gradient_mse",
     "make_estimator",
     "mseb_descriptor",
-    "mseb_diagnostics",
     "noise_coefficients",
     "parse_libsvm",
     "potential_mse",
     "q_metric",
     "run_chain",
     "run_ensemble",
-    "run_record_csv",
     "sample_batch",
     "sample_noise",
     "sigmoid",
     "softplus",
     "standardize",
     "stationary_covariance",
-    "step",
     "test_nll",
     "train_test_split",
     "wasserstein_tracker",

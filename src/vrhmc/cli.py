@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dataio, metrics
 from .estimators import ESTIMATOR_KINDS, mseb_descriptor
-from .potentials import LogisticPotential, QuadraticPotential
+from .potentials import LogisticPotential, QuadraticPotential, softplus
 from .sampler import SamplerConfig, run_ensemble, wasserstein_tracker
 
 __all__ = [
@@ -211,30 +211,53 @@ def _jsonable(value):
     return value
 
 
-def _advisory_bound(model, descriptor):
-    """Sufficient step size from the convergence theory, h <= bound.
+def _build_model(config, experiment):
+    """The target of an experiment, and the held-out Dataset (logistic only)."""
+    if experiment != "logistic":
+        model = QuadraticPotential.random(
+            n_components=config.n_components,
+            dimension=config.dimension,
+            max_eigenvalue=config.max_eigenvalue,
+            min_eigenvalue=config.min_eigenvalue,
+            seed=config.data_seed,
+        )
+        return model, None
+    if config.data is None:
+        raise ValueError("logistic experiments need 'data = <libsvm file>'")
+    dataset = dataio.parse_libsvm(
+        config.data, label_map=config.label_map, n_features=config.n_features
+    )
+    train, test = dataio.train_test_split(
+        dataset, config.train_fraction, config.split_seed
+    )
+    if config.standardize:
+        train, test, _ = dataio.standardize(train, test)
+    return LogisticPotential.from_dataset(train, ridge=config.ridge), test
 
-    The theory wants L h <= min(1, 1/sqrt(theta)) / (10 kappa). Returns
-    None for estimators without a finite theta.
+
+def _advisory(model, sampler_config):
+    """MSEB descriptor of one method and its sufficient step size h <= bound.
+
+    The theory wants L h <= min(1, 1/sqrt(theta)) / (10 kappa). The bound
+    is None for estimators without a finite theta.
     """
-    if not descriptor.bounded:
-        return None
-    theta = descriptor.theta
-    cap = 1.0 if theta == 0.0 else min(1.0, 1.0 / math.sqrt(theta))
-    return cap / (10.0 * model.condition_number * model.smoothness)
-
-
-def _method_summary(config, model, method, ensemble):
-    sampler_config = config.sampler_config(method)
     descriptor = mseb_descriptor(
-        method,
+        sampler_config.estimator,
         model.n_components,
         batch_size=sampler_config.batch_size,
         epoch_length=sampler_config.epoch_length,
     )
-    bound = _advisory_bound(model, descriptor)
+    if not descriptor.bounded:
+        return descriptor, None
+    theta = descriptor.theta
+    cap = 1.0 if theta == 0.0 else min(1.0, 1.0 / math.sqrt(theta))
+    return descriptor, cap / (10.0 * model.condition_number * model.smoothness)
+
+
+def _method_summary(model, sampler_config, ensemble):
+    descriptor, bound = _advisory(model, sampler_config)
     summary = {
-        "estimator": method,
+        "estimator": sampler_config.estimator,
         "batch_size": sampler_config.batch_size,
         "epoch_length": sampler_config.epoch_length,
         "step": sampler_config.step,
@@ -248,7 +271,7 @@ def _method_summary(config, model, method, ensemble):
         "total_queries": [r.total_queries for r in ensemble.records],
         "mean_potential": [r.mean_potential for r in ensemble.records],
     }
-    if config.diagnostics:
+    if sampler_config.diagnostics:
         summary["gradient_mse"] = float(
             np.mean([metrics.gradient_mse(r) for r in ensemble.records])
         )
@@ -273,26 +296,48 @@ def _report_timing(method, n_steps, ensemble):
     )
 
 
+def _run_methods(config, model):
+    """Run each configured method's ensemble; yield (method, ensemble, entry).
+
+    entry is the method's summary.json record, which callers extend.
+    """
+    for method in config.methods:
+        sampler_config = config.sampler_config(method)
+        ensemble = run_ensemble(sampler_config, model)
+        _report_timing(method, sampler_config.n_steps, ensemble)
+        yield method, ensemble, _method_summary(model, sampler_config, ensemble)
+
+
 def _write(out_dir, name, text):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    path.write_text(text)
-    return path
+    (out_dir / name).write_text(text)
 
 
-def _aggregate_csv(header, columns):
+def _write_summary(config, summary):
+    text = json.dumps(_jsonable(summary), indent=2, sort_keys=True)
+    _write(config.out, "summary.json", text + "\n")
+    return summary
+
+
+def _csv(header, columns):
+    """CSV text of equal-length columns; a None column (not the first) is nan.
+
+    str cells are written verbatim, integers via str(int) and other
+    numbers via repr(float), so the same columns always render to
+    identical bytes.
+    """
+
+    def cell(value):
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        return repr(float(value))
+
     lines = [header]
-    n_rows = len(columns[0])
-    for r in range(n_rows):
-        cells = []
-        for column in columns:
-            value = column[r]
-            if isinstance(value, (int, np.integer)):
-                cells.append(str(int(value)))
-            else:
-                cells.append(repr(float(value)))
-        lines.append(",".join(cells))
+    for r in range(len(columns[0])):
+        lines.append(",".join("nan" if c is None else cell(c[r]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -314,13 +359,7 @@ def run_synthetic(config):
     Writes one CSV of across-chain mean series per method, a comparison
     table, and summary.json into config.out; returns the summary dict.
     """
-    model = QuadraticPotential.random(
-        n_components=config.n_components,
-        dimension=config.dimension,
-        max_eigenvalue=config.max_eigenvalue,
-        min_eigenvalue=config.min_eigenvalue,
-        seed=config.data_seed,
-    )
+    model, _ = _build_model(config, "synthetic")
     target_mean, target_cov = model.target_moments()
     reference = model.mean_potential()
     summary = {
@@ -334,12 +373,8 @@ def run_synthetic(config):
         "methods": {},
     }
     table = [["method", "potential_mse", "gradient_mse", "final_w2", "mean_queries_per_step"]]
-    for method in config.methods:
-        sampler_config = config.sampler_config(method)
-        ensemble = run_ensemble(sampler_config, model)
-        _report_timing(method, sampler_config.n_steps, ensemble)
+    for method, ensemble, entry in _run_methods(config, model):
         w2 = wasserstein_tracker(ensemble.records, target_mean, target_cov)
-        entry = _method_summary(config, model, method, ensemble)
         entry["potential_mse"] = metrics.potential_mse(ensemble.records, reference)
         finite_w2 = w2[np.isfinite(w2)]
         entry["final_w2"] = float(finite_w2[-1]) if finite_w2.size else None
@@ -348,16 +383,14 @@ def run_synthetic(config):
             ensemble.iterations,
             ensemble.mean_queries,
             ensemble.mean_potentials,
-            ensemble.mean_grad_err_sq if ensemble.mean_grad_err_sq is not None
-            else np.full(len(w2), np.nan),
-            ensemble.mean_q_values if ensemble.mean_q_values is not None
-            else np.full(len(w2), np.nan),
+            ensemble.mean_grad_err_sq,
+            ensemble.mean_q_values,
             w2,
         ]
         _write(
             config.out,
             f"{method}.csv",
-            _aggregate_csv("iter,queries,potential,grad_err_sq,q_k,w2", columns),
+            _csv("iter,queries,potential,grad_err_sq,q_k,w2", columns),
         )
         gradient_cell = (
             f"{entry['gradient_mse']:.6g}" if "gradient_mse" in entry else "off"
@@ -373,26 +406,7 @@ def run_synthetic(config):
             ]
         )
     _write(config.out, "comparison.txt", _comparison_table(table))
-    _write(
-        config.out,
-        "summary.json",
-        json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n",
-    )
-    return summary
-
-
-def _load_logistic_data(config):
-    if config.data is None:
-        raise ValueError("logistic experiments need 'data = <libsvm file>'")
-    dataset = dataio.parse_libsvm(
-        config.data, label_map=config.label_map, n_features=config.n_features
-    )
-    train, test = dataio.train_test_split(
-        dataset, config.train_fraction, config.split_seed
-    )
-    if config.standardize:
-        train, test, _ = dataio.standardize(train, test)
-    return train, test
+    return _write_summary(config, summary)
 
 
 def run_logistic(config):
@@ -401,26 +415,21 @@ def run_logistic(config):
     Writes per-method CSVs (method,iter,queries,potential,nll,grad_err_sq)
     and summary.json into config.out; returns the summary dict.
     """
-    train, test = _load_logistic_data(config)
-    model = LogisticPotential.from_dataset(train, ridge=config.ridge)
+    model, test = _build_model(config, "logistic")
     test_features = test.to_dense()
     test_labels = test.labels
     summary = {
         "config": config.echo(),
         "dataset": {
-            "n_train": train.n_rows,
+            "n_train": model.n_components,
             "n_test": test.n_rows,
-            "n_features": train.n_features,
+            "n_features": model.dimension,
             "smoothness": model.smoothness,
             "strong_convexity": model.strong_convexity,
         },
         "methods": {},
     }
-    for method in config.methods:
-        sampler_config = config.sampler_config(method)
-        ensemble = run_ensemble(sampler_config, model)
-        _report_timing(method, sampler_config.n_steps, ensemble)
-        entry = _method_summary(config, model, method, ensemble)
+    for method, ensemble, entry in _run_methods(config, model):
         # held-out NLL along the trace, averaged across chains
         nll_rows = np.mean(
             [
@@ -438,30 +447,23 @@ def run_logistic(config):
                 test_features, test_labels, pooled_tail
             )
         summary["methods"][method] = entry
-        grad_column = (
-            ensemble.mean_grad_err_sq
-            if ensemble.mean_grad_err_sq is not None
-            else np.full(len(nll_rows), np.nan)
+        columns = [
+            [method] * len(ensemble.iterations),
+            ensemble.iterations,
+            ensemble.mean_queries,
+            ensemble.mean_potentials,
+            nll_rows,
+            ensemble.mean_grad_err_sq,
+        ]
+        _write(
+            config.out,
+            f"{method}.csv",
+            _csv("method,iter,queries,potential,nll,grad_err_sq", columns),
         )
-        lines = ["method,iter,queries,potential,nll,grad_err_sq"]
-        for r in range(len(ensemble.iterations)):
-            lines.append(
-                f"{method},{ensemble.iterations[r]},{float(ensemble.mean_queries[r])!r},"
-                f"{float(ensemble.mean_potentials[r])!r},{float(nll_rows[r])!r},"
-                f"{float(grad_column[r])!r}"
-            )
-        _write(config.out, f"{method}.csv", "\n".join(lines) + "\n")
-    _write(
-        config.out,
-        "summary.json",
-        json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n",
-    )
-    return summary
+    return _write_summary(config, summary)
 
 
 def _trace_nll(positions, features, labels):
-    from .potentials import softplus
-
     margins = labels[None, :] * (positions @ features.T)
     return softplus(-margins).mean(axis=1)
 
@@ -469,27 +471,11 @@ def _trace_nll(positions, features, labels):
 def print_advisory(config, stream=None):
     """Report the theoretical step-size bound per configured method."""
     stream = stream or sys.stdout
-    if config.experiment == "logistic":
-        train, _ = _load_logistic_data(config)
-        model = LogisticPotential.from_dataset(train, ridge=config.ridge)
-    else:
-        model = QuadraticPotential.random(
-            n_components=config.n_components,
-            dimension=config.dimension,
-            max_eigenvalue=config.max_eigenvalue,
-            min_eigenvalue=config.min_eigenvalue,
-            seed=config.data_seed,
-        )
+    model, _ = _build_model(config, config.experiment)
     rows = [["method", "theta", "step_bound", "configured_step", "step_over_bound"]]
     for method in config.methods:
         sampler_config = config.sampler_config(method)
-        descriptor = mseb_descriptor(
-            method,
-            model.n_components,
-            batch_size=sampler_config.batch_size,
-            epoch_length=sampler_config.epoch_length,
-        )
-        bound = _advisory_bound(model, descriptor)
+        descriptor, bound = _advisory(model, sampler_config)
         if bound is None:
             rows.append([method, "inf", "n/a (unbounded variance)", f"{sampler_config.step:.6g}", "n/a"])
         else:

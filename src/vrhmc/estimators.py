@@ -63,8 +63,6 @@ __all__ = [
     "q_metric",
     "MsebDescriptor",
     "mseb_descriptor",
-    "MsebDiagnostics",
-    "mseb_diagnostics",
 ]
 
 ESTIMATOR_KINDS = ("full", "sg", "svrg", "saga", "sarah", "sarge")
@@ -193,7 +191,9 @@ class SvrgEstimator(GradientEstimator):
 
     def __init__(self, model, x0, batch_size=1, epoch_length=None):
         super().__init__(model, batch_size=batch_size)
-        self.epoch_length = _resolve_epoch(model, batch_size, epoch_length)
+        self.epoch_length = _resolve_epoch(
+            model.n_components, batch_size, epoch_length
+        )
         self.snapshot = np.array(x0, dtype=float)
         self.snapshot_gradient = model.gradient_full(self.snapshot)
         self.query_count = model.n_components
@@ -278,7 +278,9 @@ class SarahEstimator(GradientEstimator):
 
     def __init__(self, model, x0, batch_size=1, epoch_length=None):
         super().__init__(model, batch_size=batch_size)
-        self.epoch_length = _resolve_epoch(model, batch_size, epoch_length)
+        self.epoch_length = _resolve_epoch(
+            model.n_components, batch_size, epoch_length
+        )
         self.prev_point = np.array(x0, dtype=float)
         self.prev_estimate = model.gradient_full(self.prev_point)
         self.query_count = model.n_components
@@ -371,9 +373,11 @@ class SargeEstimator(GradientEstimator):
         return estimate
 
 
-def _resolve_epoch(model, batch_size, epoch_length):
+def _resolve_epoch(n_components, batch_size, epoch_length):
+    # restart period p of svrg and sarah, for the estimators and their
+    # MSEB descriptors alike: epoch_length if given, else N/b
     if epoch_length is None:
-        return max(1, round(model.n_components / batch_size))
+        return max(1, round(n_components / batch_size))
     epoch_length = int(epoch_length)
     if epoch_length < 1:
         raise ValueError(f"epoch_length must be >= 1, got {epoch_length}")
@@ -506,12 +510,12 @@ def mseb_descriptor(kind, n_components, batch_size=1, epoch_length=None):
             kind, m1=3.0 * n / b**2, m2=0.0, rho_m=b / (2.0 * n), rho_f=1.0, rho_b=1.0
         )
     if kind == "svrg":
-        p = _descriptor_epoch(n, b, epoch_length)
+        p = _resolve_epoch(n, b, epoch_length)
         return MsebDescriptor(
             kind, m1=3.0 * p / b, m2=0.0, rho_m=1.0 / (2.0 * p), rho_f=1.0, rho_b=1.0
         )
     if kind == "sarah":
-        p = _descriptor_epoch(n, b, epoch_length)
+        p = _resolve_epoch(n, b, epoch_length)
         return MsebDescriptor(
             kind, m1=1.0, m2=0.0, rho_m=1.0 / p, rho_f=1.0, rho_b=1.0 / p
         )
@@ -525,42 +529,3 @@ def mseb_descriptor(kind, n_components, batch_size=1, epoch_length=None):
             rho_b=b / n,
         )
     raise ValueError(f"unknown estimator kind {kind!r}; choose from {ESTIMATOR_KINDS}")
-
-
-def _descriptor_epoch(n, b, epoch_length):
-    if epoch_length is None:
-        return max(1, round(n / b))
-    epoch_length = int(epoch_length)
-    if epoch_length < 1:
-        raise ValueError(f"epoch_length must be >= 1, got {epoch_length}")
-    return epoch_length
-
-
-@dataclass
-class MsebDiagnostics:
-    """Realized per-step MSEB quantities for one estimate."""
-
-    gradient_error_sq: float
-    q_value: float | None = None
-    bias_residual: np.ndarray | None = None
-
-
-def mseb_diagnostics(
-    model, estimate, x_current, x_next=None, estimator=None
-):
-    """Collect realized diagnostics for one step.
-
-    gradient_error_sq compares the estimate against the exact gradient at
-    x_current. q_value needs the next iterate. bias_residual, the exact
-    conditional bias of the NEXT estimate, needs the estimator state and
-    is enumeration-based, so it is only for small instances.
-    """
-    exact = model.gradient_full(x_current)
-    err = estimate - exact
-    diag = MsebDiagnostics(gradient_error_sq=float(err @ err))
-    if x_next is not None:
-        diag.q_value = q_metric(model, x_current, x_next)
-        if estimator is not None:
-            mean_next = conditional_mean_oracle(estimator, model, x_next)
-            diag.bias_residual = model.gradient_full(x_next) - mean_next
-    return diag

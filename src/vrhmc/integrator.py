@@ -37,17 +37,15 @@ rearranges the brackets around expm1. The result is accurate to about
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DynamicsParams",
     "NoiseCoefficients",
-    "ChainState",
     "noise_coefficients",
     "sample_noise",
-    "step",
     "stationary_covariance",
 ]
 
@@ -74,15 +72,6 @@ class DynamicsParams:
 
 
 @dataclass(frozen=True)
-class ChainState:
-    """Position, velocity, and iteration counter of one chain."""
-
-    x: np.ndarray
-    v: np.ndarray
-    iteration: int = 0
-
-
-@dataclass(frozen=True)
 class NoiseCoefficients:
     """Closed-form step coefficients for one (gamma, xi, h) triple.
 
@@ -102,16 +91,6 @@ class NoiseCoefficients:
     l_xx: float
     l_vx: float
     l_vv: float
-
-    def without_noise(self):
-        """Copy with the stochastic part removed, for deterministic stepping."""
-        return replace(
-            self, s_vv=0.0, s_xv=0.0, s_xx=0.0, l_xx=0.0, l_vx=0.0, l_vv=0.0
-        )
-
-    @property
-    def is_noise_free(self):
-        return self.l_xx == 0.0 and self.l_vx == 0.0 and self.l_vv == 0.0
 
 
 def _delta_minus_em1(delta):
@@ -265,49 +244,26 @@ def noise_coefficients(params: DynamicsParams) -> NoiseCoefficients:
     )
 
 
-def sample_noise(coeffs: NoiseCoefficients, dimension, rng, steps=None):
-    """Draw correlated step noise: one pair (e_x, e_v), or a block of them.
+def sample_noise(coeffs: NoiseCoefficients, dimension, rng, steps):
+    """Draw the correlated step noise (e_x, e_v) of `steps` steps at once.
 
-    With steps=m the result is one (m, 2, dimension) array whose [k, 0]
-    and [k, 1] rows are step k's e_x and e_v. A block is bit-identical to
-    m successive one-step draws from the same generator, because
+    The result is one (steps, 2, dimension) array whose [k, 0] and [k, 1]
+    rows are step k's e_x and e_v. A block of m steps is bit-identical to
+    m successive steps=1 blocks from the same generator, because
     standard_normal fills its output in the same order either way.
     """
-    z = rng.standard_normal((1 if steps is None else steps, 2, dimension))
+    z = rng.standard_normal((steps, 2, dimension))
     e_v = coeffs.l_vx * z[:, 0] + coeffs.l_vv * z[:, 1]
     z[:, 0] *= coeffs.l_xx
     z[:, 1] = e_v
-    return (z[0, 0], z[0, 1]) if steps is None else z
+    return z
 
 
 def _advance(x, v, gradient, coeffs, e_x, e_v):
-    # shared update formula; kept separate so hot loops can skip validation
+    """One step with the gradient held fixed; the update run_chain applies."""
     x_next = x + coeffs.c_xv * v - coeffs.c_xg * gradient + e_x
     v_next = coeffs.c_vv * v - coeffs.c_vg * gradient + e_v
     return x_next, v_next
-
-
-def step(state: ChainState, gradient, coeffs: NoiseCoefficients, rng=None):
-    """Advance one chain state by a single step with the gradient held fixed.
-
-    With noise-free coefficients (see NoiseCoefficients.without_noise) the
-    step is deterministic and rng may be None; no random draws are consumed.
-    """
-    gradient = np.asarray(gradient, dtype=float)
-    if gradient.shape != state.x.shape:
-        raise ValueError(
-            f"gradient has shape {gradient.shape}, expected {state.x.shape}"
-        )
-    if not np.all(np.isfinite(gradient)):
-        raise ValueError(f"non-finite gradient at iteration {state.iteration}")
-    if coeffs.is_noise_free:
-        e_x = e_v = 0.0
-    else:
-        if rng is None:
-            raise ValueError("rng is required unless coefficients are noise-free")
-        e_x, e_v = sample_noise(coeffs, state.x.shape[0], rng)
-    x_next, v_next = _advance(state.x, state.v, gradient, coeffs, e_x, e_v)
-    return ChainState(x=x_next, v=v_next, iteration=state.iteration + 1)
 
 
 def stationary_covariance(coeffs: NoiseCoefficients, hessian):

@@ -27,7 +27,7 @@ both match what a per-step evaluation would have produced bit for bit.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ __all__ = [
     "run_chain",
     "run_ensemble",
     "wasserstein_tracker",
-    "run_record_csv",
 ]
 
 # a chain is declared divergent when ||x|| exceeds this multiple of its
@@ -319,7 +318,6 @@ class EnsembleResult:
     mean_grad_err_sq: np.ndarray | None
     mean_q_values: np.ndarray | None
     pooled: GaussianSummary | None
-    w2: np.ndarray | None = field(default=None)
 
 
 def run_ensemble(config, model):
@@ -402,24 +400,3 @@ def wasserstein_tracker(records, target_mean, target_cov):
             f"only {int(counts[-1])} pooled post-burn-in samples, need at least {d + 1}"
         )
     return w2
-
-
-def run_record_csv(record, w2=None):
-    """Render one record as CSV text (iter,queries,potential,grad_err_sq,q_k,w2).
-
-    Missing diagnostic columns are written as nan. Floats use repr, so the
-    same record always renders to identical bytes.
-    """
-    n_rows = record.iterations.shape[0]
-    nan_col = np.full(n_rows, np.nan)
-    grad = record.grad_err_sq if record.grad_err_sq is not None else nan_col
-    q = record.q_values if record.q_values is not None else nan_col
-    w2 = w2 if w2 is not None else nan_col
-    lines = ["iter,queries,potential,grad_err_sq,q_k,w2"]
-    for r in range(n_rows):
-        lines.append(
-            f"{record.iterations[r]},{record.queries[r]},"
-            f"{float(record.potentials[r])!r},{float(grad[r])!r},"
-            f"{float(q[r])!r},{float(w2[r])!r}"
-        )
-    return "\n".join(lines) + "\n"

@@ -99,7 +99,7 @@ def test_2_noise_moments_match_closed_form_and_stay_psd():
     worst = 0.0
     for h in (0.01, 0.1, 1.0):
         coeffs = noise_coefficients(DynamicsParams(gamma=2.0, xi=1.0, step=h))
-        e_x, e_v = sample_noise(coeffs, n, rng)
+        e_x, e_v = sample_noise(coeffs, n, rng, steps=1)[0]
         checks = [
             (np.var(e_x, ddof=1), coeffs.s_xx, coeffs.s_xx * np.sqrt(2.0 / (n - 1))),
             (np.var(e_v, ddof=1), coeffs.s_vv, coeffs.s_vv * np.sqrt(2.0 / (n - 1))),

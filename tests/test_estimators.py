@@ -20,7 +20,6 @@ from vrhmc.estimators import (
     conditional_mean_oracle,
     make_estimator,
     mseb_descriptor,
-    mseb_diagnostics,
     q_metric,
     sample_batch,
     sample_batch_block,
@@ -433,20 +432,3 @@ class TestMakeEstimator:
         with pytest.raises(ValueError):
             make_estimator("saga", model, np.zeros(model.dimension), batch_size=5)
 
-
-class TestDiagnosticsHelper:
-    def test_collects_error_q_and_bias(self):
-        model = quadratic(20, n=4, d=2)
-        est = make_estimator("sarah", model, np.zeros(2), batch_size=1, epoch_length=4)
-        rng = np.random.default_rng(21)
-        x = warm_up(est, rng)
-        estimate = est.estimate(x, rng)
-        x_next = x + 0.1
-        diag = mseb_diagnostics(model, estimate, x, x_next=x_next, estimator=est)
-        want_err = float(np.sum((estimate - model.gradient_full(x)) ** 2))
-        np.testing.assert_allclose(diag.gradient_error_sq, want_err, rtol=1e-12)
-        np.testing.assert_allclose(diag.q_value, q_metric(model, x, x_next), rtol=1e-12)
-        want_bias = model.gradient_full(x_next) - conditional_mean_oracle(
-            est, model, x_next
-        )
-        np.testing.assert_allclose(diag.bias_residual, want_bias, rtol=1e-10)

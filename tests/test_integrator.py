@@ -9,12 +9,11 @@ import numpy as np
 import pytest
 
 from vrhmc.integrator import (
-    ChainState,
     DynamicsParams,
+    _advance,
     noise_coefficients,
     sample_noise,
     stationary_covariance,
-    step,
 )
 
 # mpmath, 50 digits, gamma=2, xi=1, h=0.1 (delta = 0.2)
@@ -159,6 +158,8 @@ class TestNoiseCoefficients:
 
 
 class TestStep:
+    """The noise blocks and the update that run_chain applies each step."""
+
     def test_matches_ode_solver_with_constant_gradient(self):
         """Noise-free step equals the flow of dx = xi v dt, dv = (-gamma xi v - g) dt."""
         from scipy.integrate import solve_ivp
@@ -171,8 +172,8 @@ class TestStep:
             d = 3
             x0, v0 = rng.standard_normal(d), rng.standard_normal(d)
             g = rng.standard_normal(d)
-            coeffs = noise_coefficients(DynamicsParams(gamma, xi, h)).without_noise()
-            state = step(ChainState(x=x0, v=v0), g, coeffs)
+            coeffs = noise_coefficients(DynamicsParams(gamma, xi, h))
+            x, v = _advance(x0, v0, g, coeffs, 0.0, 0.0)
 
             def field(_, y):
                 x, v = y[:d], y[d:]
@@ -182,66 +183,40 @@ class TestStep:
                 field, (0.0, h), np.concatenate([x0, v0]),
                 rtol=1e-12, atol=1e-14, dense_output=False,
             )
-            np.testing.assert_allclose(state.x, sol.y[:d, -1], rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(state.v, sol.y[d:, -1], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(x, sol.y[:d, -1], rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(v, sol.y[d:, -1], rtol=1e-9, atol=1e-12)
 
     def test_semigroup_composition(self):
         # two noise-free half steps against one full step, frozen gradient
         rng = np.random.default_rng(9)
         x0, v0, g = rng.standard_normal((3, 4))
-        half = noise_coefficients(DynamicsParams(1.3, 0.7, 0.05)).without_noise()
-        full = noise_coefficients(DynamicsParams(1.3, 0.7, 0.10)).without_noise()
-        state = step(step(ChainState(x0, v0), g, half), g, half)
-        direct = step(ChainState(x0, v0), g, full)
-        np.testing.assert_allclose(state.x, direct.x, rtol=1e-13)
-        np.testing.assert_allclose(state.v, direct.v, rtol=1e-13)
+        half = noise_coefficients(DynamicsParams(1.3, 0.7, 0.05))
+        full = noise_coefficients(DynamicsParams(1.3, 0.7, 0.10))
+        x, v = _advance(*_advance(x0, v0, g, half, 0.0, 0.0), g, half, 0.0, 0.0)
+        direct_x, direct_v = _advance(x0, v0, g, full, 0.0, 0.0)
+        np.testing.assert_allclose(x, direct_x, rtol=1e-13)
+        np.testing.assert_allclose(v, direct_v, rtol=1e-13)
 
     def test_free_dynamics_velocity_marginal(self):
         """Zero gradient: v equilibrates to variance 1/xi."""
         xi = 2.5
         coeffs = noise_coefficients(DynamicsParams(gamma=2.0, xi=xi, step=0.3))
-        rng = np.random.default_rng(11)
-        state = ChainState(x=np.zeros(8), v=np.zeros(8))
-        zero = np.zeros(8)
+        noise = sample_noise(coeffs, 8, np.random.default_rng(11), steps=40_000)
+        x = v = zero = np.zeros(8)
         samples = []
         for k in range(40_000):
-            state = step(state, zero, coeffs, rng)
+            x, v = _advance(x, v, zero, coeffs, noise[k, 0], noise[k, 1])
             if k >= 2_000:
-                samples.append(state.v.copy())
+                samples.append(v)
         var = np.concatenate(samples).var()
         # generous band; correlated draws inflate the naive standard error
         np.testing.assert_allclose(var, 1.0 / xi, rtol=0.05)
-
-    def test_noise_free_needs_no_rng(self):
-        coeffs = noise_coefficients(DynamicsParams(2.0, 1.0, 0.1)).without_noise()
-        assert coeffs.is_noise_free
-        out = step(ChainState(np.ones(2), np.ones(2)), np.zeros(2), coeffs, rng=None)
-        again = step(ChainState(np.ones(2), np.ones(2)), np.zeros(2), coeffs, rng=None)
-        np.testing.assert_array_equal(out.x, again.x)
-
-    def test_noisy_step_requires_rng(self):
-        coeffs = noise_coefficients(DynamicsParams(2.0, 1.0, 0.1))
-        with pytest.raises(ValueError):
-            step(ChainState(np.ones(2), np.ones(2)), np.zeros(2), coeffs, rng=None)
-
-    def test_rejects_shape_mismatch_and_nonfinite(self):
-        coeffs = noise_coefficients(DynamicsParams(2.0, 1.0, 0.1))
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            step(ChainState(np.ones(3), np.ones(3)), np.zeros(2), coeffs, rng)
-        with pytest.raises(ValueError):
-            step(
-                ChainState(np.ones(2), np.ones(2)),
-                np.array([np.nan, 0.0]),
-                coeffs,
-                rng,
-            )
 
     def test_sample_noise_consumes_one_block(self):
         coeffs = noise_coefficients(DynamicsParams(2.0, 1.0, 0.1))
         rng = np.random.default_rng(21)
         shadow = np.random.default_rng(21)
-        e_x, e_v = sample_noise(coeffs, 5, rng)
+        e_x, e_v = sample_noise(coeffs, 5, rng, steps=1)[0]
         z = shadow.standard_normal((2, 5))
         np.testing.assert_allclose(e_x, coeffs.l_xx * z[0], rtol=1e-15)
         np.testing.assert_allclose(
@@ -257,9 +232,8 @@ class TestStep:
         block = sample_noise(coeffs, 3, rng, steps=7)
         assert block.shape == (7, 2, 3)
         for k in range(7):
-            e_x, e_v = sample_noise(coeffs, 3, shadow)
-            np.testing.assert_array_equal(block[k, 0], e_x)
-            np.testing.assert_array_equal(block[k, 1], e_v)
+            single = sample_noise(coeffs, 3, shadow, steps=1)
+            np.testing.assert_array_equal(block[k], single[0])
         assert rng.integers(1 << 30) == shadow.integers(1 << 30)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vrhmc.cli import _csv
 from vrhmc.integrator import noise_coefficients
 from vrhmc.metrics import GaussianSummary, bures_w2
 from vrhmc.potentials import QuadraticPotential
@@ -12,7 +13,6 @@ from vrhmc.sampler import (
     SamplerConfig,
     run_chain,
     run_ensemble,
-    run_record_csv,
     wasserstein_tracker,
 )
 
@@ -343,19 +343,35 @@ class TestWassersteinTracker:
 
 
 class TestRunRecordCsv:
+    """A chain's record through the CSV writer the CLI uses for every file."""
+
+    HEADER = "iter,queries,potential,grad_err_sq,q_k,w2"
+
+    def render(self, record, w2=None):
+        columns = [
+            record.iterations,
+            record.queries,
+            record.potentials,
+            record.grad_err_sq,
+            record.q_values,
+            w2,
+        ]
+        return _csv(self.HEADER, columns)
+
     def test_header_and_byte_determinism(self):
         model = small_model()
         config = SamplerConfig(
             n_steps=20, step=0.1, burn_in=5, seed=9, diagnostics=True
         )
         record = run_chain(config, model)
-        text = run_record_csv(record)
-        assert text == run_record_csv(record)
+        text = self.render(record)
+        assert text == self.render(record)
         lines = text.splitlines()
-        assert lines[0] == "iter,queries,potential,grad_err_sq,q_k,w2"
+        assert lines[0] == self.HEADER
         assert len(lines) == 21
         first = lines[1].split(",")
         assert first[0] == "0"
+        assert first[1] == str(record.queries[0])
         assert float(first[2]) == record.potentials[0]
         # q_k and w2 were not tracked, so those columns are nan
         assert first[4] == "nan" and first[5] == "nan"
@@ -365,6 +381,6 @@ class TestRunRecordCsv:
         config = SamplerConfig(n_steps=30, step=0.1, burn_in=0, seed=10)
         record = run_chain(config, model)
         w2 = np.linspace(0.5, 0.1, 30)
-        lines = run_record_csv(record, w2=w2).splitlines()[1:]
+        lines = self.render(record, w2=w2).splitlines()[1:]
         back = np.array([float(line.split(",")[5]) for line in lines])
         np.testing.assert_array_equal(back, w2)
