@@ -438,7 +438,7 @@ def run_logistic(config):
             ],
             axis=0,
         )
-        tail = ensemble.iterations >= config.burn_in
+        tail = ensemble.iterations >= entry["burn_in"]
         if tail.any():
             pooled_tail = np.concatenate(
                 [r.positions[tail] for r in ensemble.records]

@@ -26,15 +26,14 @@ mseb_descriptor returns the constants; conditional_mean_oracle computes
 exact conditional expectations by enumerating every batch (and restart)
 outcome, which is what the bias property tests check against.
 
-Randomness contract: each estimate(x, rng) call draws the restart coin
-first (svrg and sarah only, and only when epoch_length > 1) and the batch
-indices second, so a fixed generator state determines the estimate. That
-per-call draw order is unchanged when the caller passes nothing else.
-sg, saga and sarge (BATCH_ONLY_KINDS) draw nothing but their batch, so
-they also take estimate(x, rng, batch) with indices the caller drew.
-sampler.run_chain uses this at b = 1 < N: sample_batch_block draws m
-steps' indices in one call, exactly the indices m successive
-sample_batch calls on the same generator would return.
+Randomness contract: an estimator touches a generator only in
+draw(rng, steps), which returns the draws of its next `steps` estimate
+calls, one per call: the restart coin first (svrg and sarah, drawn only
+when epoch_length > 1), then the batch (none on a sarah restart, and no
+random draw at b = N). estimate(x, draw) is the update and draws
+nothing, so a block of draws taken ahead holds exactly what the same
+calls would draw one at a time; sampler.run_chain takes one block per
+block of steps for every kind.
 """
 
 from __future__ import annotations
@@ -56,9 +55,7 @@ __all__ = [
     "SarahEstimator",
     "SargeEstimator",
     "make_estimator",
-    "BATCH_ONLY_KINDS",
     "sample_batch",
-    "sample_batch_block",
     "conditional_mean_oracle",
     "q_metric",
     "MsebDescriptor",
@@ -66,10 +63,6 @@ __all__ = [
 ]
 
 ESTIMATOR_KINDS = ("full", "sg", "svrg", "saga", "sarah", "sarge")
-
-# kinds whose estimate() draws nothing but its batch, and so also takes a
-# batch drawn by the caller
-BATCH_ONLY_KINDS = ("sg", "saga", "sarge")
 
 # oracle enumeration refuses above this many batches
 _MAX_ENUMERATION = 10_000
@@ -97,19 +90,6 @@ def sample_batch(rng, n_components, batch_size):
     return rng.choice(n_components, size=batch_size, replace=False)
 
 
-def sample_batch_block(rng, n_components, batch_size, steps):
-    """The next `steps` sample_batch results drawn at once, one per row.
-
-    Only b = 1 < N batches can be drawn ahead: one integers(0, N,
-    size=(steps, 1)) call yields exactly the indices that `steps`
-    successive sample_batch calls on the same generator would. Other
-    sizes draw with choice or draw nothing, and get None.
-    """
-    if batch_size == 1 < n_components:
-        return rng.integers(0, n_components, size=(steps, 1))
-    return None
-
-
 class GradientEstimator:
     """Base class: owns per-chain memory and the gradient-query counter.
 
@@ -129,12 +109,20 @@ class GradientEstimator:
         self.batch_size = int(batch_size)
         self.query_count = 0
 
-    def estimate(self, x, rng):
-        """Return the gradient estimate at x, updating memory and queries.
+    def draw(self, rng, steps):
+        """The draws of the next `steps` estimate calls: here one batch each.
 
-        sg, saga and sarge also accept batch=, an index array drawn by the
-        caller, in which case rng is not touched.
+        Singleton batches from N > 1 components come from one integers(0,
+        N, size=(steps, 1)) call, which yields exactly the indices `steps`
+        successive sample_batch calls on the same generator would.
         """
+        n, b = self.model.n_components, self.batch_size
+        if b == 1 < n:
+            return rng.integers(0, n, size=(steps, 1))
+        return [sample_batch(rng, n, b) for _ in range(steps)]
+
+    def estimate(self, x, draw):
+        """Return the gradient estimate at x, updating memory and queries."""
         raise NotImplementedError
 
     def _full_collapse(self):
@@ -152,7 +140,10 @@ class FullGradient(GradientEstimator):
     def __init__(self, model, batch_size=None):
         super().__init__(model, batch_size=model.n_components)
 
-    def estimate(self, x, rng=None):
+    def draw(self, rng, steps):
+        return [None] * steps
+
+    def estimate(self, x, draw):
         self.query_count += self.model.n_components
         return self.model.gradient_full(x)
 
@@ -162,12 +153,7 @@ class MinibatchGradient(GradientEstimator):
 
     kind = "sg"
 
-    def estimate(self, x, rng, batch=None):
-        if batch is None:
-            batch = sample_batch(rng, self.model.n_components, self.batch_size)
-        return self._apply(x, batch)
-
-    def _apply(self, x, batch):
+    def estimate(self, x, batch):
         self.query_count += len(batch)
         if self._full_collapse():
             return self.model.gradient_full(x)
@@ -184,7 +170,7 @@ class SvrgEstimator(GradientEstimator):
 
         (N/b) sum_{i in B} (grad f_i(x) - grad f_i(snapshot)) + grad f(snapshot).
 
-    epoch_length == 1 refreshes every call without consuming a coin draw.
+    A draw is the pair (refresh, batch).
     """
 
     kind = "svrg"
@@ -198,12 +184,13 @@ class SvrgEstimator(GradientEstimator):
         self.snapshot_gradient = model.gradient_full(self.snapshot)
         self.query_count = model.n_components
 
-    def estimate(self, x, rng):
-        refresh = self.epoch_length == 1 or rng.random() < 1.0 / self.epoch_length
-        batch = sample_batch(rng, self.model.n_components, self.batch_size)
-        return self._apply(x, batch, refresh)
+    def draw(self, rng, steps):
+        n, b, p = self.model.n_components, self.batch_size, self.epoch_length
+        # the coin is drawn before the batch within each call
+        return [(_restart_coin(rng, p), sample_batch(rng, n, b)) for _ in range(steps)]
 
-    def _apply(self, x, batch, refresh):
+    def estimate(self, x, draw):
+        refresh, batch = draw
         model = self.model
         if refresh:
             self.snapshot = np.array(x, dtype=float)
@@ -238,12 +225,7 @@ class SagaEstimator(GradientEstimator):
         self.query_count = model.n_components
         self._calls_since_resum = 0
 
-    def estimate(self, x, rng, batch=None):
-        if batch is None:
-            batch = sample_batch(rng, self.model.n_components, self.batch_size)
-        return self._apply(x, batch)
-
-    def _apply(self, x, batch):
+    def estimate(self, x, batch):
         model = self.model
         self.query_count += len(batch)
         fresh = model.gradient_batch(batch, x)
@@ -253,12 +235,7 @@ class SagaEstimator(GradientEstimator):
         else:
             scale = model.n_components / len(batch)
             estimate = scale * residual.sum(axis=0) + self.table_sum
-        self.table_sum = self.table_sum + residual.sum(axis=0)
-        self.table[batch] = fresh
-        self._calls_since_resum += 1
-        if self._calls_since_resum >= _RESUM_INTERVAL:
-            self.table_sum = self.table.sum(axis=0)
-            self._calls_since_resum = 0
+        _commit_table(self, batch, fresh, residual)
         return estimate
 
 
@@ -272,6 +249,7 @@ class SarahEstimator(GradientEstimator):
 
     The estimate is conditionally biased: the residual against the exact
     gradient contracts by (1 - 1/epoch_length) per call in expectation.
+    A draw is the batch, or None for a restart, which draws no batch.
     """
 
     kind = "sarah"
@@ -285,16 +263,16 @@ class SarahEstimator(GradientEstimator):
         self.prev_estimate = model.gradient_full(self.prev_point)
         self.query_count = model.n_components
 
-    def estimate(self, x, rng):
-        restart = self.epoch_length == 1 or rng.random() < 1.0 / self.epoch_length
-        if restart:
-            return self._apply(x, None, True)
-        batch = sample_batch(rng, self.model.n_components, self.batch_size)
-        return self._apply(x, batch, False)
+    def draw(self, rng, steps):
+        n, b, p = self.model.n_components, self.batch_size, self.epoch_length
+        return [
+            None if _restart_coin(rng, p) else sample_batch(rng, n, b)
+            for _ in range(steps)
+        ]
 
-    def _apply(self, x, batch, restart):
+    def estimate(self, x, batch):
         model = self.model
-        if restart:
+        if batch is None:
             estimate = model.gradient_full(x)
             self.query_count += model.n_components
         else:
@@ -341,12 +319,7 @@ class SargeEstimator(GradientEstimator):
         self.query_count = model.n_components
         self._calls_since_resum = 0
 
-    def estimate(self, x, rng, batch=None):
-        if batch is None:
-            batch = sample_batch(rng, self.model.n_components, self.batch_size)
-        return self._apply(x, batch)
-
-    def _apply(self, x, batch):
+    def estimate(self, x, batch):
         model = self.model
         n = model.n_components
         self.query_count += 2 * len(batch)
@@ -362,15 +335,27 @@ class SargeEstimator(GradientEstimator):
             estimate = (
                 scale * residual.sum(axis=0) + self.table_sum + w * self.prev_estimate
             )
-        self.table_sum = self.table_sum + residual.sum(axis=0)
-        self.table[batch] = fresh
+        _commit_table(self, batch, fresh, residual)
         self.prev_point = np.array(x, dtype=float)
         self.prev_estimate = estimate
-        self._calls_since_resum += 1
-        if self._calls_since_resum >= _RESUM_INTERVAL:
-            self.table_sum = self.table.sum(axis=0)
-            self._calls_since_resum = 0
         return estimate
+
+
+def _restart_coin(rng, epoch_length):
+    # svrg's refresh and sarah's restart: true with probability
+    # 1/epoch_length, and drawing nothing at epoch_length == 1
+    return epoch_length == 1 or rng.random() < 1.0 / epoch_length
+
+
+def _commit_table(estimator, batch, fresh, residual):
+    # saga and sarge: store the batch's fresh table rows, keep table_sum in
+    # step, and re-sum the table every _RESUM_INTERVAL calls against drift
+    estimator.table_sum = estimator.table_sum + residual.sum(axis=0)
+    estimator.table[batch] = fresh
+    estimator._calls_since_resum += 1
+    if estimator._calls_since_resum >= _RESUM_INTERVAL:
+        estimator.table_sum = estimator.table.sum(axis=0)
+        estimator._calls_since_resum = 0
 
 
 def _resolve_epoch(n_components, batch_size, epoch_length):
@@ -410,10 +395,11 @@ def make_estimator(kind, model, x0, batch_size=1, epoch_length=None):
 def conditional_mean_oracle(estimator, model, x_next):
     """Exact conditional mean of the next estimate at x_next.
 
-    Enumerates every batch (and every restart outcome for svrg and sarah)
-    with its probability, evaluating each branch on a deep copy so the
-    estimator state is left untouched. Refuses when the number of batches
-    C(N, b) exceeds 10_000; this is a test oracle, not a runtime path.
+    Enumerates every draw the next call can make (every batch, and every
+    restart outcome for svrg and sarah) with its probability, evaluating
+    each on a deep copy so the estimator state is left untouched. Refuses
+    when the number of batches C(N, b) exceeds 10_000; this is a test
+    oracle, not a runtime path.
     """
     n, b = model.n_components, estimator.batch_size
     n_batches = math.comb(n, b)
@@ -423,26 +409,23 @@ def conditional_mean_oracle(estimator, model, x_next):
             f"{_MAX_ENUMERATION}"
         )
     x_next = model._check_point(x_next)
-    if estimator.kind == "full":
-        return model.gradient_full(x_next)
-
     batches = [np.array(c) for c in itertools.combinations(range(n), b)]
-    if estimator.kind in ("svrg", "sarah"):
-        p_restart = 1.0 / estimator.epoch_length
-        branches = [(True, p_restart), (False, 1.0 - p_restart)]
-        mean = np.zeros(model.dimension)
-        for restart, weight in branches:
-            if weight == 0.0:
-                continue
-            for batch in batches:
-                clone = copy.deepcopy(estimator)
-                mean += (weight / n_batches) * clone._apply(x_next, batch, restart)
-        return mean
+    outcomes = [(batch, 1.0 / n_batches) for batch in batches]
+    if estimator.kind == "full":
+        outcomes = [(None, 1.0)]
+    elif estimator.kind in ("svrg", "sarah"):
+        p = 1.0 / estimator.epoch_length
+        kept = [(batch, (1.0 - p) / n_batches) for batch in batches]
+        if estimator.kind == "sarah":
+            outcomes = [(None, p)] + kept
+        else:
+            outcomes = [((True, batch), p / n_batches) for batch in batches]
+            outcomes += [((False, batch), weight) for batch, weight in kept]
 
     mean = np.zeros(model.dimension)
-    for batch in batches:
-        clone = copy.deepcopy(estimator)
-        mean += clone._apply(x_next, batch) / n_batches
+    for draw, probability in outcomes:
+        if probability > 0.0:
+            mean += probability * copy.deepcopy(estimator).estimate(x_next, draw)
     return mean
 
 

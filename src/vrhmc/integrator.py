@@ -93,6 +93,14 @@ class NoiseCoefficients:
     l_vv: float
 
 
+def _horner(delta, coefficients):
+    """c_0 + delta * (c_1 + delta * (... + delta * c_n)), innermost first."""
+    acc = coefficients[-1]
+    for c in reversed(coefficients[:-1]):
+        acc = c + delta * acc
+    return acc
+
+
 def _delta_minus_em1(delta):
     """delta - 1 + exp(-delta), accurate near zero.
 
@@ -100,25 +108,12 @@ def _delta_minus_em1(delta):
     at the branch seam.
     """
     if delta < _TAYLOR_THRESHOLD:
-        return delta * delta * (
-            1.0 / 2.0
-            + delta
-            * (
-                -1.0 / 6.0
-                + delta
-                * (
-                    1.0 / 24.0
-                    + delta
-                    * (
-                        -1.0 / 120.0
-                        + delta
-                        * (
-                            1.0 / 720.0
-                            + delta * (-1.0 / 5040.0 + delta * (1.0 / 40320.0))
-                        )
-                    )
-                )
-            )
+        return delta * delta * _horner(
+            delta,
+            (
+                1.0 / 2.0, -1.0 / 6.0, 1.0 / 24.0, -1.0 / 120.0,
+                1.0 / 720.0, -1.0 / 5040.0, 1.0 / 40320.0,
+            ),
         )
     return delta + math.expm1(-delta)
 
@@ -134,37 +129,12 @@ def _sxx_bracket(delta, em1):
     comfortably below 1e-12.
     """
     if delta < _TAYLOR_THRESHOLD:
-        return delta**3 * (
-            2.0 / 3.0
-            + delta
-            * (
-                -1.0 / 2.0
-                + delta
-                * (
-                    7.0 / 30.0
-                    + delta
-                    * (
-                        -1.0 / 12.0
-                        + delta
-                        * (
-                            31.0 / 1260.0
-                            + delta
-                            * (
-                                -1.0 / 160.0
-                                + delta
-                                * (
-                                    127.0 / 90720.0
-                                    + delta
-                                    * (
-                                        -17.0 / 60480.0
-                                        + delta * (511.0 / 9979200.0)
-                                    )
-                                )
-                            )
-                        )
-                    )
-                )
-            )
+        return delta**3 * _horner(
+            delta,
+            (
+                2.0 / 3.0, -1.0 / 2.0, 7.0 / 30.0, -1.0 / 12.0, 31.0 / 1260.0,
+                -1.0 / 160.0, 127.0 / 90720.0, -17.0 / 60480.0, 511.0 / 9979200.0,
+            ),
         )
     return 2.0 * _delta_minus_em1(delta) - em1 * em1
 
@@ -177,29 +147,12 @@ def _schur_bracket(delta, em1, em2, sxx_bracket):
             + 523 delta^7/64512000 + ...
     """
     if delta < _TAYLOR_THRESHOLD:
-        return delta * (
-            1.0 / 2.0
-            + delta
-            * (
-                -1.0 / 8.0
-                + delta
-                * (
-                    7.0 / 480.0
-                    + delta
-                    * (
-                        1.0 / 1920.0
-                        + delta
-                        * (
-                            -107.0 / 268800.0
-                            + delta
-                            * (
-                                89.0 / 3225600.0
-                                + delta * (523.0 / 64512000.0)
-                            )
-                        )
-                    )
-                )
-            )
+        return delta * _horner(
+            delta,
+            (
+                1.0 / 2.0, -1.0 / 8.0, 7.0 / 480.0, 1.0 / 1920.0,
+                -107.0 / 268800.0, 89.0 / 3225600.0, 523.0 / 64512000.0,
+            ),
         )
     return em2 - em1**4 / sxx_bracket
 

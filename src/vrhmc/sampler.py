@@ -9,13 +9,10 @@ makes runs with different estimators under the same seed exactly paired,
 and makes full-batch runs collapse bit-for-bit onto full-gradient runs.
 
 The step loop draws its randomness in blocks of _BLOCK_STEPS steps: one
-integrator.sample_noise call per block for the noise, and, for sg, saga
-and sarge at b = 1 < N, one estimators.sample_batch_block call for the
-batch indices, which are handed to estimate(). Both blocks hold exactly
-the draws the same steps would make one at a time, so trajectories are
-bit-identical to a per-step loop. svrg and sarah interleave a restart
-coin with their batch on one stream and b > 1 batches come from choice,
-so those keep drawing inside estimate() once per step.
+integrator.sample_noise call for the noise and one estimator.draw call
+for the estimator's draws, each handed to estimate(x, draw) in turn. Both
+blocks hold exactly the draws the same steps would make one at a time,
+so trajectories are bit-identical to a per-step loop.
 
 Recording stays cheap inside the loop: a recorded row stores the
 position, the query count and (with diagnostics) the estimate. After the
@@ -31,13 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import (
-    BATCH_ONLY_KINDS,
-    ESTIMATOR_KINDS,
-    make_estimator,
-    q_metric,
-    sample_batch_block,
-)
+from .estimators import ESTIMATOR_KINDS, make_estimator, q_metric
 from .integrator import DynamicsParams, noise_coefficients, sample_noise, _advance
 from .metrics import GaussianSummary, bures_w2
 
@@ -55,8 +46,8 @@ __all__ = [
 # initial scale (with floor 1), which catches overflow long before inf
 _DIVERGENCE_FACTOR = 1e6
 
-# steps whose noise (and b = 1 batch indices) one generator call draws; a
-# block holds exactly the draws the same steps would make one at a time
+# steps whose noise and estimator draws are taken at once; a block holds
+# exactly the draws the same steps would make one at a time
 _BLOCK_STEPS = 256
 
 
@@ -204,7 +195,6 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
     estimates = np.empty((n_rows, d)) if config.diagnostics else None
     q_values = np.empty(n_rows) if config.record_q else None
 
-    batch_only = config.estimator in BATCH_ONLY_KINDS
     estimate = estimator.estimate
     record_q = config.record_q
 
@@ -216,17 +206,10 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
             noise = np.zeros((m, 2, d))
         else:
             noise = sample_noise(coeffs, d, noise_rng, steps=m)
-        batches = None
-        if batch_only:
-            batches = sample_batch_block(
-                est_rng, model.n_components, config.batch_size, m
-            )
+        draws = estimator.draw(est_rng, m)
         for i in range(m):
             k = first + i
-            if batches is None:
-                grad = estimate(x, est_rng)
-            else:
-                grad = estimate(x, est_rng, batches[i])
+            grad = estimate(x, draws[i])
             recording = k % stride == 0
             if recording:
                 queries[row] = estimator.query_count

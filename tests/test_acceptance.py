@@ -160,7 +160,7 @@ def test_3_enumerated_conditional_means_reproduce_bias_identities():
                 kind, model, rng.standard_normal(d), batch_size=b, epoch_length=3
             )
             for _ in range(3):
-                estimator.estimate(rng.standard_normal(d), rng)
+                estimator.estimate(rng.standard_normal(d), estimator.draw(rng, 1)[0])
             expected_bias = 0.0
             if kind in ("sarah", "sarge"):
                 rho_b = mseb_descriptor(

@@ -2,7 +2,7 @@
 
 reference_chain below is the chain loop as it stood before run_chain drew
 its randomness in blocks and deferred the gradient-error diagnostic: one
-noise draw, one estimate(x, rng) call (batch drawn inside), and one exact
+noise draw, one estimate call on that step's own draw(rng, 1), and one exact
 gradient per recorded row, all inside the step loop. run_chain must
 reproduce it bit for bit on every recorded column, including the step at
 which a divergent chain stops.
@@ -63,7 +63,7 @@ def reference_chain(config, model, seed_seq=None, chain_id=0):
     }
     row = 0
     for k in range(n_steps):
-        grad = estimator.estimate(x, est_rng)
+        grad = estimator.estimate(x, estimator.draw(est_rng, 1)[0])
         recording = k % stride == 0
         if recording:
             out["iterations"][row] = k

@@ -8,14 +8,17 @@ import sys
 import numpy as np
 import pytest
 
+from vrhmc import metrics
 from vrhmc.cli import (
     ExperimentConfig,
+    _build_model,
     load_config,
     main,
     print_advisory,
     run_logistic,
     run_synthetic,
 )
+from vrhmc.sampler import run_ensemble
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -254,6 +257,28 @@ class TestLogistic:
         loaded = json.loads((out / "summary.json").read_text())
         for method in ("full", "sg"):
             assert loaded["methods"][method]["final_test_nll"] > 0.0
+
+    def test_final_test_nll_pools_the_methods_own_burn_in(self, tmp_path, data_file):
+        path = write_config(
+            tmp_path,
+            f"experiment = logistic\ndata = {data_file}\ntrain_fraction = 0.5\n"
+            "methods = sg\nsteps = 40\nburn_in = 20\nsg.burn_in = 5\n"
+            "stride = 5\nchains = 2\nstep = 0.1\n",
+        )
+        config = load_config(path, {"out": str(tmp_path / "results")})
+        entry = run_logistic(config)["methods"]["sg"]
+        assert entry["burn_in"] == 5
+
+        model, test = _build_model(config, "logistic")
+        ensemble = run_ensemble(config.sampler_config("sg"), model)
+
+        def pooled_nll(first_row):
+            tail = ensemble.iterations >= first_row
+            pooled = np.concatenate([r.positions[tail] for r in ensemble.records])
+            return metrics.test_nll(test.to_dense(), test.labels, pooled)
+
+        assert entry["final_test_nll"] == pooled_nll(5)
+        assert entry["final_test_nll"] != pooled_nll(20)
 
     def test_requires_data_path(self):
         config = load_config(None, {"experiment": "logistic"})

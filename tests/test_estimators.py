@@ -22,7 +22,6 @@ from vrhmc.estimators import (
     mseb_descriptor,
     q_metric,
     sample_batch,
-    sample_batch_block,
 )
 from vrhmc.potentials import LogisticPotential, QuadraticPotential
 
@@ -47,7 +46,7 @@ def warm_up(estimator, rng, n_calls=3, scale=0.5):
     x = np.zeros(estimator.model.dimension)
     for _ in range(n_calls):
         x = x + scale * rng.standard_normal(x.size)
-        estimator.estimate(x, rng)
+        estimator.estimate(x, estimator.draw(rng, 1)[0])
     return x
 
 
@@ -81,31 +80,23 @@ class TestSampleBatch:
             sample_batch(rng, 5, 6)
 
 
-class TestCallerDrawnBatches:
-    @pytest.mark.parametrize("kind", ("sg", "saga", "sarge"))
-    def test_block_of_indices_replays_per_call_draws(self, kind):
+class TestDraws:
+    @pytest.mark.parametrize("epoch_length", (1, 3))
+    @pytest.mark.parametrize("batch_size", (1, 3, 8))
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_block_replays_per_call_draws(self, kind, batch_size, epoch_length):
         model = logistic(2)
-        x0 = np.zeros(model.dimension)
-        drawing = make_estimator(kind, model, x0)
-        given = make_estimator(kind, model, x0)
-        rng = np.random.default_rng(8)
-        block = sample_batch_block(np.random.default_rng(8), model.n_components, 1, 20)
-        assert block.shape == (20, 1)
-        untouched = np.random.default_rng(1)
-        path = np.random.default_rng(3).standard_normal((20, model.dimension))
-        for x, batch in zip(path, block):
-            np.testing.assert_array_equal(
-                given.estimate(x, untouched, batch), drawing.estimate(x, rng)
-            )
-        assert given.query_count == drawing.query_count
-        assert untouched.integers(1 << 30) == np.random.default_rng(1).integers(1 << 30)
-
-    def test_only_singleton_batches_are_drawn_ahead(self):
-        rng = np.random.default_rng(0)
-        assert sample_batch_block(rng, 8, 3, 5) is None
-        assert sample_batch_block(rng, 8, 8, 5) is None
-        assert sample_batch_block(rng, 1, 1, 5) is None
-        assert rng.integers(1 << 30) == np.random.default_rng(0).integers(1 << 30)
+        est = make_estimator(
+            kind, model, np.zeros(model.dimension),
+            batch_size=batch_size, epoch_length=epoch_length,
+        )
+        block_rng, call_rng = np.random.default_rng(8), np.random.default_rng(8)
+        block = est.draw(block_rng, 20)
+        calls = [est.draw(call_rng, 1)[0] for _ in range(20)]
+        assert len(block) == 20
+        for got, want in zip(block, calls):
+            np.testing.assert_equal(got, want)
+        assert block_rng.bit_generator.state == call_rng.bit_generator.state
 
 
 class TestQueryAccounting:
@@ -128,7 +119,7 @@ class TestQueryAccounting:
             est = make_estimator(kind, model, x0, batch_size=2)
             start = est.query_count
             for k in range(5):
-                est.estimate(x, rng)
+                est.estimate(x, est.draw(rng, 1)[0])
             assert est.query_count - start == 5 * per_call, kind
 
     def test_svrg_and_sarah_reset_rates(self):
@@ -142,14 +133,14 @@ class TestQueryAccounting:
 
         svrg = make_estimator("svrg", model, x0, batch_size=b, epoch_length=p)
         for _ in range(calls):
-            svrg.estimate(x, rng)
+            svrg.estimate(x, svrg.draw(rng, 1)[0])
         refreshes = (svrg.query_count - 12 - calls * 2 * b) / 12
         assert refreshes == int(refreshes)
         assert abs(refreshes - mean) <= 5 * sigma
 
         sarah = make_estimator("sarah", model, x0, batch_size=b, epoch_length=p)
         for _ in range(calls):
-            sarah.estimate(x, rng)
+            sarah.estimate(x, sarah.draw(rng, 1)[0])
         restarts = (sarah.query_count - 12 - calls * 2 * b) / (12 - 2 * b)
         assert restarts == int(restarts)
         assert abs(restarts - mean) <= 5 * sigma
@@ -162,12 +153,12 @@ class TestFullBatchCollapse:
         rng_path = np.random.default_rng(6)
         path = [x0 + 0.3 * rng_path.standard_normal(model.dimension) for _ in range(10)]
         reference = FullGradient(model)
-        wanted = [reference.estimate(x) for x in path]
+        wanted = [reference.estimate(x, None) for x in path]
         for kind in ESTIMATOR_KINDS:
             est = make_estimator(kind, model, x0, batch_size=6, epoch_length=1)
             rng = np.random.default_rng(7)
             for x, want in zip(path, wanted):
-                got = est.estimate(x, rng)
+                got = est.estimate(x, est.draw(rng, 1)[0])
                 np.testing.assert_array_equal(got, want, err_msg=kind)
 
 
@@ -184,7 +175,7 @@ class TestWhiteBoxFormulas:
         est = make_estimator("sg", self.model, self.x0, batch_size=2)
         batch = np.array([1, 3])
         want = (5 / 2) * (self.grad(1, self.x1) + self.grad(3, self.x1))
-        np.testing.assert_allclose(est._apply(self.x1, batch), want, rtol=1e-14)
+        np.testing.assert_allclose(est.estimate(self.x1, batch), want, rtol=1e-14)
 
     def test_svrg_without_refresh(self):
         est = make_estimator("svrg", self.model, self.x0, batch_size=2, epoch_length=9)
@@ -194,11 +185,11 @@ class TestWhiteBoxFormulas:
             self.grad(0, self.x1) - self.grad(0, self.x0)
             + self.grad(4, self.x1) - self.grad(4, self.x0)
         ) + anchor
-        np.testing.assert_allclose(est._apply(self.x1, batch, False), want, rtol=1e-12)
+        np.testing.assert_allclose(est.estimate(self.x1, (False, batch)), want, rtol=1e-12)
 
     def test_svrg_with_refresh_returns_exact_gradient(self):
         est = make_estimator("svrg", self.model, self.x0, batch_size=2, epoch_length=9)
-        got = est._apply(self.x1, np.array([2, 3]), True)
+        got = est.estimate(self.x1, (True, np.array([2, 3])))
         np.testing.assert_array_equal(got, self.model.gradient_full(self.x1))
         np.testing.assert_array_equal(est.snapshot, self.x1)
 
@@ -210,7 +201,7 @@ class TestWhiteBoxFormulas:
             self.grad(1, self.x1) - self.grad(1, self.x0)
             + self.grad(2, self.x1) - self.grad(2, self.x0)
         ) + table_sum
-        np.testing.assert_allclose(est._apply(self.x1, batch), want, rtol=1e-12)
+        np.testing.assert_allclose(est.estimate(self.x1, batch), want, rtol=1e-12)
         np.testing.assert_allclose(est.table[1], self.grad(1, self.x1), rtol=1e-14)
         np.testing.assert_allclose(est.table[0], self.grad(0, self.x0), rtol=1e-14)
 
@@ -219,12 +210,12 @@ class TestWhiteBoxFormulas:
         prev_estimate = est.prev_estimate.copy()
         batch = np.array([3])
         want = 5 * (self.grad(3, self.x1) - self.grad(3, self.x0)) + prev_estimate
-        np.testing.assert_allclose(est._apply(self.x1, batch, False), want, rtol=1e-12)
+        np.testing.assert_allclose(est.estimate(self.x1, batch), want, rtol=1e-12)
         np.testing.assert_array_equal(est.prev_point, self.x1)
 
     def test_sarah_restart(self):
         est = make_estimator("sarah", self.model, self.x0, batch_size=1, epoch_length=7)
-        got = est._apply(self.x1, None, True)
+        got = est.estimate(self.x1, None)
         np.testing.assert_array_equal(got, self.model.gradient_full(self.x1))
 
     def test_sarge_step(self):
@@ -241,26 +232,28 @@ class TestWhiteBoxFormulas:
             + sum(table.values())
             + w * prev_estimate
         )
-        np.testing.assert_allclose(est._apply(self.x1, batch), want, rtol=1e-12)
+        np.testing.assert_allclose(est.estimate(self.x1, batch), want, rtol=1e-12)
         np.testing.assert_allclose(est.table[0], fresh[0], rtol=1e-14)
         np.testing.assert_allclose(est.table[1], table[1], rtol=1e-14)
 
 
+@pytest.mark.parametrize("kind", ("saga", "sarge"))
 class TestTableMaintenance:
-    def test_saga_running_sum_stays_exact(self):
+    def test_running_sum_stays_exact(self, kind):
         model = quadratic(5, n=9)
-        est = make_estimator("saga", model, np.zeros(model.dimension), batch_size=2)
+        est = make_estimator(kind, model, np.zeros(model.dimension), batch_size=2)
         rng = np.random.default_rng(8)
         warm_up(est, rng, n_calls=300)
         np.testing.assert_allclose(
             est.table_sum, est.table.sum(axis=0), rtol=1e-12, atol=1e-14
         )
 
-    def test_periodic_resummation_triggers(self):
+    def test_periodic_resummation_triggers(self, kind):
         model = quadratic(6, n=4)
-        est = make_estimator("saga", model, np.zeros(model.dimension), batch_size=1)
+        est = make_estimator(kind, model, np.zeros(model.dimension), batch_size=1)
         est._calls_since_resum = _RESUM_INTERVAL - 1
-        est.estimate(np.ones(model.dimension), np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        est.estimate(np.ones(model.dimension), est.draw(rng, 1)[0])
         assert est._calls_since_resum == 0
         np.testing.assert_array_equal(est.table_sum, est.table.sum(axis=0))
 
