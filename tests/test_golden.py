@@ -5,7 +5,10 @@ estimator on a small quadratic and a small logistic target at batch
 sizes 1, 3 and N, and hash the recorded positions, velocities,
 potentials, queries and squared gradient errors. Output cases hash every
 file run_synthetic and run_logistic write for small configs, and the text
-print_advisory prints for both targets. Every run goes through the
+print_advisory prints for both targets. The logistic runs cover a dense
+toy input with and without standardization, and a sparse input with
+explicit zeros, absent entries and constant columns (an intercept and an
+all-zero feature), standardized. Every run goes through the
 working directory of the test with relative paths, so the config echo in
 summary.json is the same on every machine.
 
@@ -78,6 +81,8 @@ OUTPUT_HASHES = {
     "logistic-results": "dae537e23722aa796c4990f4a0a872c0992080159a912045216bfd42e4b86ff2",
     "synthetic-advisory": "3c2069bc7831b9890b44c910f841b515d8d85758b643201d3f5c53f6d4c93305",
     "logistic-advisory": "4aab1ae5d7e364593091937c97e6e9b65e5cfbf54b937a73e2a3079a64271050",
+    "unstandardized-results": "b7f3fd2ddbc4f49182cc660eadd48abfeb9acfff766cc69c6fac2b4de2b5c081",
+    "sparse-results": "8aab25dd8105e0d6e708c66a28df9398f4ec715b335102d6526d50eb4a2e9a2e",
 }
 
 SYNTHETIC_CONFIG = """
@@ -111,6 +116,22 @@ stride = 5
 chains = 2
 step = 0.1
 seed = 4
+batch = 2
+diagnostics = true
+"""
+
+SPARSE_CONFIG = """
+experiment = logistic
+methods = full, sg, svrg, saga, sarah, sarge
+data = sparse.libsvm
+n_features = 7
+train_fraction = 0.6
+steps = 40
+burn_in = 10
+stride = 5
+chains = 2
+step = 0.1
+seed = 6
 batch = 2
 diagnostics = true
 """
@@ -178,20 +199,51 @@ def write_libsvm(path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_sparse_libsvm(path):
+    """Rows with an intercept (feature 1), absent entries and explicit zeros.
+
+    Features 2-6 are each present with probability 1/2 and then written as
+    0 one time in four; feature 7 never appears (SPARSE_CONFIG sets
+    n_features = 7), so it is an all-zero column.
+    """
+    rng = np.random.default_rng(8)
+    lines = []
+    for _ in range(30):
+        label = rng.choice([-1, 1])
+        cells = ["1:1"]
+        for j in range(2, 7):
+            if rng.random() < 0.5:
+                value = 0 if rng.random() < 0.25 else round(rng.standard_normal(), 3)
+                cells.append(f"{j}:{value}")
+        lines.append(f"{label:+d} " + " ".join(cells))
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+# output case name -> (config text, writer of the data file it reads)
+INPUTS = {
+    "synthetic": (SYNTHETIC_CONFIG, None),
+    "logistic": (LOGISTIC_CONFIG, lambda: write_libsvm("toy.libsvm")),
+    "unstandardized": (
+        LOGISTIC_CONFIG + "standardize = false\n",
+        lambda: write_libsvm("toy.libsvm"),
+    ),
+    "sparse": (SPARSE_CONFIG, lambda: write_sparse_libsvm("sparse.libsvm")),
+}
+
+
 def output_hash(case):
     """Hash of one CLI case, run in the current working directory."""
-    experiment, product = case.split("-")
-    Path(f"{experiment}.cfg").write_text(
-        SYNTHETIC_CONFIG if experiment == "synthetic" else LOGISTIC_CONFIG
-    )
-    if experiment == "logistic":
-        write_libsvm("toy.libsvm")
-    config = load_config(f"{experiment}.cfg", {"out": f"out-{experiment}"})
+    name, product = case.split("-")
+    text, write_data = INPUTS[name]
+    Path(f"{name}.cfg").write_text(text)
+    if write_data is not None:
+        write_data()
+    config = load_config(f"{name}.cfg", {"out": f"out-{name}"})
     if product == "advisory":
         text = print_advisory(config, io.StringIO())
         return hashlib.sha256(text.encode()).hexdigest()
-    (run_synthetic if experiment == "synthetic" else run_logistic)(config)
-    return tree_hash(f"out-{experiment}")
+    (run_synthetic if config.experiment == "synthetic" else run_logistic)(config)
+    return tree_hash(f"out-{name}")
 
 
 TRAJECTORY_CASES = [
@@ -202,6 +254,8 @@ OUTPUT_CASES = [
     "logistic-results",
     "synthetic-advisory",
     "logistic-advisory",
+    "unstandardized-results",
+    "sparse-results",
 ]
 
 
