@@ -28,7 +28,6 @@ from .estimators import (
     SarahEstimator,
     SargeEstimator,
     SvrgEstimator,
-    conditional_mean_oracle,
     make_estimator,
     mseb_descriptor,
     q_metric,
@@ -47,6 +46,7 @@ from .metrics import (
     gradient_mse,
     potential_mse,
     test_nll,
+    test_nll_per_sample,
 )
 from .potentials import (
     LogisticPotential,
@@ -91,7 +91,6 @@ __all__ = [
     "StandardizeTransform",
     "SvrgEstimator",
     "bures_w2",
-    "conditional_mean_oracle",
     "emit_libsvm",
     "gradient_mse",
     "make_estimator",
@@ -109,6 +108,7 @@ __all__ = [
     "standardize",
     "stationary_covariance",
     "test_nll",
+    "test_nll_per_sample",
     "train_test_split",
     "wasserstein_tracker",
 ]

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import dataio, metrics
 from .estimators import ESTIMATOR_KINDS, mseb_descriptor
-from .potentials import LogisticPotential, QuadraticPotential, softplus
+from .potentials import LogisticPotential, QuadraticPotential
 from .sampler import SamplerConfig, run_ensemble, wasserstein_tracker
 
 __all__ = [
@@ -92,20 +92,20 @@ class ExperimentConfig:
 
     def sampler_config(self, method):
         override = self.method_overrides.get(method, {})
+        per_method = {
+            name: _KEY_TYPES[key](override.get(key, getattr(self, key)))
+            for key, name in _METHOD_KEYS.items()
+        }
         return SamplerConfig(
-            n_steps=int(override.get("steps", self.steps)),
-            step=float(override.get("step", self.step)),
             estimator=method,
-            batch_size=int(override.get("batch", self.batch)),
-            epoch_length=_maybe_int(override.get("epoch", self.epoch)),
             gamma=self.gamma,
             xi=self.xi,
-            burn_in=int(override.get("burn_in", self.burn_in)),
             record_stride=self.stride,
             n_chains=self.chains,
             seed=self.seed,
             diagnostics=self.diagnostics,
             record_q=self.record_q,
+            **per_method,
         )
 
     def echo(self):
@@ -119,38 +119,43 @@ class ExperimentConfig:
         return out
 
 
-def _maybe_int(value):
-    return None if value is None else int(value)
-
+# keys a method prefix may override ('svrg.epoch = 500'), and the
+# SamplerConfig field each one sets
+_METHOD_KEYS = {
+    "steps": "n_steps", "step": "step", "batch": "batch_size", "epoch": "epoch_length",
+    "burn_in": "burn_in",
+}
 
 _BOOL_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_READERS = {
+    "int": int,
+    "float": float,
+    "bool": lambda text: _BOOL_WORDS[text.lower()],
+    "tuple": lambda text: tuple(p.strip().lower() for p in text.split(",") if p.strip()),
+}
+
+
+def _reader(annotation):
+    base, _, optional = annotation.partition(" | ")
+    read = _READERS.get(base, str)
+    if not (optional and read in (int, float)):
+        return read
+    # a number annotated '| None' also reads none, default or nothing as None
+    return lambda value: None if str(value).lower() in ("", "none", "default") else read(value)
+
+
+# every ExperimentConfig key -> its reader, which sampler_config also
+# applies to the values it passes on
+_KEY_TYPES = {entry.name: _reader(entry.type) for entry in fields(ExperimentConfig)}
 
 
 def _parse_value(name, text):
     text = text.strip()
-    if name in ("methods",):
-        return tuple(part.strip().lower() for part in text.split(",") if part.strip())
-    if name in ("diagnostics", "record_q", "paper_scale", "standardize"):
-        try:
-            return _BOOL_WORDS[text.lower()]
-        except KeyError:
-            raise ValueError(f"cannot read boolean {name} = {text!r}") from None
-    if name in ("epoch", "n_features", "xi"):
-        if text.lower() in ("", "none", "default"):
-            return None
-    int_keys = {
-        "seed", "batch", "epoch", "steps", "burn_in", "stride", "chains",
-        "n_components", "dimension", "data_seed", "split_seed", "n_features",
-    }
-    float_keys = {
-        "step", "gamma", "xi", "max_eigenvalue", "min_eigenvalue",
-        "train_fraction", "ridge",
-    }
-    if name in int_keys:
-        return int(text)
-    if name in float_keys:
-        return float(text)
-    return text
+    read = _KEY_TYPES[name]
+    try:
+        return read(text)
+    except KeyError:  # a word _BOOL_WORDS does not know
+        raise ValueError(f"cannot read boolean {name} = {text!r}") from None
 
 
 def load_config(path=None, overrides=None):
@@ -176,7 +181,7 @@ def load_config(path=None, overrides=None):
                 method = method.lower()
                 if method not in ESTIMATOR_KINDS:
                     raise ValueError(f"{path}:{lineno}: unknown method prefix {method!r}")
-                if sub not in ("batch", "epoch", "step", "steps", "burn_in"):
+                if sub not in _METHOD_KEYS:
                     raise ValueError(f"{path}:{lineno}: unsupported override {key!r}")
                 method_overrides.setdefault(method, {})[sub] = _parse_value(sub, text)
             elif key in known:
@@ -212,7 +217,11 @@ def _jsonable(value):
 
 
 def _build_model(config, experiment):
-    """The target of an experiment, and the held-out Dataset (logistic only)."""
+    """The target of an experiment, and its held-out (features, labels).
+
+    The held-out pair is None for the synthetic target. Each logistic
+    split is densified once, then standardized if configured.
+    """
     if experiment != "logistic":
         model = QuadraticPotential.random(
             n_components=config.n_components,
@@ -230,9 +239,13 @@ def _build_model(config, experiment):
     train, test = dataio.train_test_split(
         dataset, config.train_fraction, config.split_seed
     )
+    train_features, test_features = train.to_dense(), test.to_dense()
     if config.standardize:
-        train, test, _ = dataio.standardize(train, test)
-    return LogisticPotential.from_dataset(train, ridge=config.ridge), test
+        train_features, test_features, _ = dataio.standardize(
+            train_features, test_features
+        )
+    model = LogisticPotential(train_features, train.labels, ridge=config.ridge)
+    return model, (test_features, test.labels)
 
 
 def _advisory(model, sampler_config):
@@ -415,14 +428,12 @@ def run_logistic(config):
     Writes per-method CSVs (method,iter,queries,potential,nll,grad_err_sq)
     and summary.json into config.out; returns the summary dict.
     """
-    model, test = _build_model(config, "logistic")
-    test_features = test.to_dense()
-    test_labels = test.labels
+    model, (test_features, test_labels) = _build_model(config, "logistic")
     summary = {
         "config": config.echo(),
         "dataset": {
             "n_train": model.n_components,
-            "n_test": test.n_rows,
+            "n_test": test_labels.shape[0],
             "n_features": model.dimension,
             "smoothness": model.smoothness,
             "strong_convexity": model.strong_convexity,
@@ -433,7 +444,9 @@ def run_logistic(config):
         # held-out NLL along the trace, averaged across chains
         nll_rows = np.mean(
             [
-                _trace_nll(record.positions, test_features, test_labels)
+                metrics.test_nll_per_sample(
+                    test_features, test_labels, record.positions
+                )
                 for record in ensemble.records
             ],
             axis=0,
@@ -461,11 +474,6 @@ def run_logistic(config):
             _csv("method,iter,queries,potential,nll,grad_err_sq", columns),
         )
     return _write_summary(config, summary)
-
-
-def _trace_nll(positions, features, labels):
-    margins = labels[None, :] * (positions @ features.T)
-    return softplus(-margins).mean(axis=1)
 
 
 def print_advisory(config, stream=None):

@@ -9,6 +9,10 @@ sparse (CSR-style flat arrays) with labels normalized to {-1, +1}. The
 three label conventions found in common binary benchmark files are
 supported: {-1, +1} kept as is, {0, 1} mapped order-preservingly to
 {-1, +1}, and {1, 2} likewise.
+
+Parsing and splitting work on sparse Datasets. Everything downstream
+works on dense arrays: a split is densified once with Dataset.to_dense(),
+and standardize fits and applies its transform to those arrays.
 """
 
 from __future__ import annotations
@@ -247,57 +251,25 @@ class StandardizeTransform:
     def invert(self, dense):
         return dense * self.scale + self.shift
 
-    def as_dict(self):
-        return {"shift": self.shift.tolist(), "scale": self.scale.tolist()}
-
-    @classmethod
-    def from_dict(cls, payload):
-        return cls(
-            shift=np.asarray(payload["shift"], dtype=float),
-            scale=np.asarray(payload["scale"], dtype=float),
-        )
-
-
-def _from_dense(dense, labels, n_features):
-    indptr = [0]
-    indices = []
-    values = []
-    for row in dense:
-        nz = np.flatnonzero(row)
-        indices.append(nz.astype(np.int64))
-        values.append(row[nz])
-        indptr.append(indptr[-1] + nz.size)
-    return Dataset(
-        labels=labels.copy(),
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-        values=np.concatenate(values) if values else np.empty(0),
-        n_features=n_features,
-    )
-
 
 def standardize(train, test=None):
-    """Standardize features to zero mean, unit variance, fitted on train.
+    """Standardize dense feature arrays to zero mean, unit variance.
 
+    train and test are (rows, features) arrays, typically from
+    Dataset.to_dense(); the transform is fitted on train alone.
     Zero-variance features pass through untouched (shift 0, scale 1) so
     constant columns such as intercepts survive. Returns the transformed
-    train set, the transformed test set (None if not given), and the
-    fitted transform. Transformed datasets are dense in sparse clothing:
-    shifting makes zeros informative, so every entry is stored.
+    train array, the transformed test array (None if not given), and the
+    fitted transform. The output is dense: shifting makes zeros
+    informative.
     """
-    dense_train = train.to_dense()
-    mean = dense_train.mean(axis=0)
-    std = dense_train.std(axis=0)
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
     constant = std == 0.0
     shift = np.where(constant, 0.0, mean)
     scale = np.where(constant, 1.0, std)
     transform = StandardizeTransform(shift=shift, scale=scale)
-    train_out = _from_dense(
-        transform.apply(dense_train), train.labels, train.n_features
-    )
-    if test is None:
-        return train_out, None, transform
-    if test.n_features != train.n_features:
+    if test is not None and test.shape[1] != train.shape[1]:
         raise ValueError("train and test disagree on the number of features")
-    test_out = _from_dense(transform.apply(test.to_dense()), test.labels, test.n_features)
-    return train_out, test_out, transform
+    test_out = None if test is None else transform.apply(test)
+    return transform.apply(train), test_out, transform

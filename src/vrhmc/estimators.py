@@ -22,9 +22,7 @@ decays geometrically except for a forcing term proportional to
     Q_k = N * sum_i ||grad f_i(x_{k+1}) - grad f_i(x_k)||^2,
 
 and the conditional bias contracts by a factor (1 - rho_b) per step.
-mseb_descriptor returns the constants; conditional_mean_oracle computes
-exact conditional expectations by enumerating every batch (and restart)
-outcome, which is what the bias property tests check against.
+mseb_descriptor returns the constants.
 
 Randomness contract: an estimator touches a generator only in
 draw(rng, steps), which returns the draws of its next `steps` estimate
@@ -38,8 +36,6 @@ block of steps for every kind.
 
 from __future__ import annotations
 
-import copy
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,16 +52,12 @@ __all__ = [
     "SargeEstimator",
     "make_estimator",
     "sample_batch",
-    "conditional_mean_oracle",
     "q_metric",
     "MsebDescriptor",
     "mseb_descriptor",
 ]
 
 ESTIMATOR_KINDS = ("full", "sg", "svrg", "saga", "sarah", "sarge")
-
-# oracle enumeration refuses above this many batches
-_MAX_ENUMERATION = 10_000
 
 # running component-gradient sums are recomputed from the table this often
 # to stop float drift over long chains
@@ -390,43 +382,6 @@ def make_estimator(kind, model, x0, batch_size=1, epoch_length=None):
     if kind == "sarge":
         return SargeEstimator(model, x0, batch_size=batch_size)
     raise ValueError(f"unknown estimator kind {kind!r}; choose from {ESTIMATOR_KINDS}")
-
-
-def conditional_mean_oracle(estimator, model, x_next):
-    """Exact conditional mean of the next estimate at x_next.
-
-    Enumerates every draw the next call can make (every batch, and every
-    restart outcome for svrg and sarah) with its probability, evaluating
-    each on a deep copy so the estimator state is left untouched. Refuses
-    when the number of batches C(N, b) exceeds 10_000; this is a test
-    oracle, not a runtime path.
-    """
-    n, b = model.n_components, estimator.batch_size
-    n_batches = math.comb(n, b)
-    if n_batches > _MAX_ENUMERATION:
-        raise ValueError(
-            f"enumeration over C({n}, {b}) = {n_batches} batches exceeds "
-            f"{_MAX_ENUMERATION}"
-        )
-    x_next = model._check_point(x_next)
-    batches = [np.array(c) for c in itertools.combinations(range(n), b)]
-    outcomes = [(batch, 1.0 / n_batches) for batch in batches]
-    if estimator.kind == "full":
-        outcomes = [(None, 1.0)]
-    elif estimator.kind in ("svrg", "sarah"):
-        p = 1.0 / estimator.epoch_length
-        kept = [(batch, (1.0 - p) / n_batches) for batch in batches]
-        if estimator.kind == "sarah":
-            outcomes = [(None, p)] + kept
-        else:
-            outcomes = [((True, batch), p / n_batches) for batch in batches]
-            outcomes += [((False, batch), weight) for batch, weight in kept]
-
-    mean = np.zeros(model.dimension)
-    for draw, probability in outcomes:
-        if probability > 0.0:
-            mean += probability * copy.deepcopy(estimator).estimate(x_next, draw)
-    return mean
 
 
 def q_metric(model, x_current, x_next):

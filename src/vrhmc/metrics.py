@@ -14,6 +14,7 @@ __all__ = [
     "gradient_mse",
     "potential_mse",
     "test_nll",
+    "test_nll_per_sample",
 ]
 
 
@@ -98,12 +99,10 @@ def potential_mse(records, reference):
     return float(np.mean(np.square(deviations)))
 
 
-def test_nll(features, labels, samples):
-    """Average held-out negative log-likelihood per data point.
-
-    Averages log(1 + exp(-y a^T x)) over all test rows and all posterior
-    samples x. The prior term is deliberately excluded.
-    """
+def _held_out_losses(features, labels, samples):
+    # (S, N) matrix of log(1 + exp(-y_n a_n^T x_s)) from one stacked
+    # product; a sample taken alone can round differently, since a (1, d)
+    # @ (d, N) product takes another BLAS path
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -112,4 +111,18 @@ def test_nll(features, labels, samples):
     if features.shape[0] == 0 or samples.shape[0] == 0:
         raise ValueError("need at least one test row and one sample")
     margins = labels[None, :] * (samples @ features.T)
-    return float(softplus(-margins).mean())
+    return softplus(-margins)
+
+
+def test_nll(features, labels, samples):
+    """Average held-out negative log-likelihood per data point.
+
+    Averages log(1 + exp(-y a^T x)) over all test rows and all posterior
+    samples x. The prior term is deliberately excluded.
+    """
+    return float(_held_out_losses(features, labels, samples).mean())
+
+
+def test_nll_per_sample(features, labels, samples):
+    """Average held-out NLL of each sample x_s, as an (S,) array."""
+    return _held_out_losses(features, labels, samples).mean(axis=1)

@@ -285,11 +285,6 @@ class LogisticPotential(PotentialModel):
         self.smoothness = self.ridge + self._gram_max_eigenvalue() / 4.0
         self.strong_convexity = self.ridge
 
-    @classmethod
-    def from_dataset(cls, dataset, ridge=1.0):
-        """Build from a dataio.Dataset (rows are densified)."""
-        return cls(dataset.to_dense(), dataset.labels, ridge=ridge)
-
     def _gram_max_eigenvalue(self):
         # deterministic power iteration on A^T A from an all-ones start
         v = np.ones(self.dimension) / np.sqrt(self.dimension)
@@ -336,8 +331,3 @@ class LogisticPotential(PotentialModel):
     def potential_full(self, x):
         x = self._check_point(x)
         return float(0.5 * self.ridge * (x @ x) + softplus(-self._margins(x)).sum())
-
-    def negative_log_likelihood(self, x):
-        """Likelihood part only, sum_i log(1 + exp(-y_i a_i^T x))."""
-        x = self._check_point(x)
-        return float(softplus(-self._margins(x)).sum())

@@ -153,7 +153,6 @@ class RunRecord:
     velocities: np.ndarray | None
     grad_err_sq: np.ndarray | None
     q_values: np.ndarray | None
-    running_mean_potential: np.ndarray
     mean_potential: float
     final_mean: np.ndarray
     final_cov: np.ndarray | None
@@ -249,11 +248,9 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
 
     iterations = np.arange(n_rows, dtype=np.int64) * stride
     tail = iterations >= config.burn_in
-    running = np.full(n_rows, np.nan)
     if tail.any():
-        counts = np.arange(1, int(tail.sum()) + 1)
-        running[tail] = np.cumsum(potentials[tail]) / counts
-        mean_potential = float(running[tail][-1])
+        # the last running mean; np.sum would add in another order
+        mean_potential = float(np.cumsum(potentials[tail])[-1] / int(tail.sum()))
         tail_positions = positions[tail]
         final_mean = tail_positions.mean(axis=0)
         if tail_positions.shape[0] >= 2:
@@ -276,7 +273,6 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
         velocities=velocities,
         grad_err_sq=grad_errs,
         q_values=q_values,
-        running_mean_potential=running,
         mean_potential=mean_potential,
         final_mean=final_mean,
         final_cov=final_cov,
@@ -310,10 +306,8 @@ def run_ensemble(config, model):
         run_chain(config, model, seed_seq=child, chain_id=j)
         for j, child in enumerate(children)
     ]
+    # every chain has the same n_steps and stride, hence the same grid
     iterations = records[0].iterations
-    for record in records[1:]:
-        if not np.array_equal(record.iterations, iterations):
-            raise RuntimeError("chains disagree on the recorded iteration grid")
     mean_queries = np.mean([r.queries for r in records], axis=0)
     mean_potentials = np.mean([r.potentials for r in records], axis=0)
     mean_grad = (

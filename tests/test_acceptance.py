@@ -18,11 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from vrhmc.dataio import Dataset, parse_libsvm, emit_libsvm
-from vrhmc.estimators import (
-    conditional_mean_oracle,
-    make_estimator,
-    mseb_descriptor,
-)
+from vrhmc.estimators import make_estimator, mseb_descriptor
 from vrhmc.integrator import (
     DynamicsParams,
     noise_coefficients,
@@ -32,6 +28,8 @@ from vrhmc.integrator import (
 from vrhmc.metrics import gradient_mse
 from vrhmc.potentials import LogisticPotential, QuadraticPotential
 from vrhmc.sampler import SamplerConfig, run_chain, run_ensemble, wasserstein_tracker
+
+from oracles import conditional_mean_oracle
 
 
 def report(index, label, passed, detail, started, budget_s=None):
@@ -308,7 +306,7 @@ def test_7_logistic_benchmark_orderings_at_equal_query_budgets():
     ]
     dataset = parse_libsvm(lines, n_features=d)
     np.testing.assert_array_equal(dataset.to_dense(), features)
-    model = LogisticPotential.from_dataset(dataset, ridge=1.0)
+    model = LogisticPotential(dataset.to_dense(), dataset.labels, ridge=1.0)
 
     budget = 50 * n
     window_potential = {}

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -43,6 +44,82 @@ step = 0.05
 diagnostics = true
 record_q = true
 """
+
+
+# (key, text in a config file, the value it must read as): one row per key,
+# with the exact type of the value; epoch, n_features and xi also read
+# none / default / nothing as None, and no other key does
+KEY_CASES = [
+    ("experiment", "Logistic", "Logistic"),
+    ("seed", " 12 ", 12),
+    ("out", "runs/a b", "runs/a b"),
+    ("methods", "SVRG, ,sg,", ("svrg", "sg")),
+    ("batch", "3", 3),
+    ("epoch", "40", 40),
+    ("epoch", "none", None),
+    ("epoch", "Default", None),
+    ("step", "0.125", 0.125),
+    ("gamma", "3", 3.0),
+    ("xi", "1e-2", 0.01),
+    ("xi", "NONE", None),
+    ("steps", "1000", 1000),
+    ("burn_in", "100", 100),
+    ("stride", "7", 7),
+    ("chains", "2", 2),
+    ("diagnostics", "Yes", True),
+    ("record_q", "0", False),
+    ("paper_scale", "false", False),
+    ("n_components", "16", 16),
+    ("dimension", "4", 4),
+    ("max_eigenvalue", "9", 9.0),
+    ("min_eigenvalue", "0.5", 0.5),
+    ("data_seed", "8", 8),
+    ("data", "none", "none"),
+    ("data", "data/a1a", "data/a1a"),
+    ("label_map", "auto", "auto"),
+    ("n_features", "123", 123),
+    ("n_features", "none", None),
+    ("train_fraction", "0.75", 0.75),
+    ("split_seed", "5", 5),
+    ("ridge", "2", 2.0),
+    ("standardize", "no", False),
+]
+
+# per-method override keys: (key, text, value, the SamplerConfig field it sets)
+METHOD_KEY_CASES = [
+    ("batch", "2", 2, "batch_size"),
+    ("epoch", "30", 30, "epoch_length"),
+    ("epoch", "none", None, "epoch_length"),
+    ("step", "0.5", 0.5, "step"),
+    ("steps", "90", 90, "n_steps"),
+    ("burn_in", "10", 10, "burn_in"),
+]
+
+
+class TestKeyTypes:
+    def test_table_covers_every_key(self):
+        keys = {entry.name for entry in fields(ExperimentConfig)}
+        assert {key for key, _, _ in KEY_CASES} == keys - {"method_overrides"}
+
+    @pytest.mark.parametrize("key,text,want", KEY_CASES)
+    def test_key_reads_value_and_type(self, tmp_path, key, text, want):
+        config = load_config(write_config(tmp_path, f"{key} = {text}\n"))
+        got = getattr(config, key)
+        assert type(got) is type(want) and got == want
+
+    @pytest.mark.parametrize("key,text,want,field", METHOD_KEY_CASES)
+    def test_method_key_reads_value_and_type(self, tmp_path, key, text, want, field):
+        path = write_config(tmp_path, f"steps = 100\nburn_in = 5\nsarah.{key} = {text}\n")
+        config = load_config(path)
+        got = config.method_overrides["sarah"][key]
+        assert type(got) is type(want) and got == want
+        passed = getattr(config.sampler_config("sarah"), field)
+        assert type(passed) is type(want) and passed == want
+
+    @pytest.mark.parametrize("key", ["steps", "step", "seed", "ridge", "batch"])
+    def test_required_numbers_reject_none(self, tmp_path, key):
+        with pytest.raises(ValueError):
+            load_config(write_config(tmp_path, f"{key} = none\n"))
 
 
 class TestLoadConfig:
@@ -269,13 +346,13 @@ class TestLogistic:
         entry = run_logistic(config)["methods"]["sg"]
         assert entry["burn_in"] == 5
 
-        model, test = _build_model(config, "logistic")
+        model, (test_features, test_labels) = _build_model(config, "logistic")
         ensemble = run_ensemble(config.sampler_config("sg"), model)
 
         def pooled_nll(first_row):
             tail = ensemble.iterations >= first_row
             pooled = np.concatenate([r.positions[tail] for r in ensemble.records])
-            return metrics.test_nll(test.to_dense(), test.labels, pooled)
+            return metrics.test_nll(test_features, test_labels, pooled)
 
         assert entry["final_test_nll"] == pooled_nll(5)
         assert entry["final_test_nll"] != pooled_nll(20)

@@ -17,13 +17,14 @@ from vrhmc.estimators import (
     _RESUM_INTERVAL,
     ESTIMATOR_KINDS,
     FullGradient,
-    conditional_mean_oracle,
     make_estimator,
     mseb_descriptor,
     q_metric,
     sample_batch,
 )
 from vrhmc.potentials import LogisticPotential, QuadraticPotential
+
+from oracles import conditional_mean_oracle
 
 
 def quadratic(seed, n=12, d=3):

@@ -5,6 +5,7 @@ import pytest
 
 from vrhmc.metrics import GaussianSummary, bures_w2, gradient_mse, potential_mse
 from vrhmc.metrics import test_nll as held_out_nll
+from vrhmc.metrics import test_nll_per_sample as held_out_nll_per_sample
 from vrhmc.sampler import RunRecord
 
 
@@ -31,7 +32,6 @@ def minimal_record(iterations, burn_in, potentials=None, grad_err_sq=None,
         velocities=None,
         grad_err_sq=None if grad_err_sq is None else np.asarray(grad_err_sq, float),
         q_values=None,
-        running_mean_potential=np.full(n, np.nan),
         mean_potential=mean_potential,
         final_mean=np.zeros(1),
         final_cov=None,
@@ -152,3 +152,23 @@ class TestHeldOutNll:
         # margins -2 and -6: mean of softplus(2), softplus(6)
         want = 0.5 * (np.log1p(np.exp(2.0)) + np.log1p(np.exp(6.0)))
         np.testing.assert_allclose(held_out_nll(features, labels, samples), want, rtol=1e-12)
+
+    def test_per_sample_hand_case(self):
+        features = np.array([[2.0]])
+        labels = np.array([-1.0])
+        samples = np.array([[1.0], [3.0]])
+        want = [np.log1p(np.exp(2.0)), np.log1p(np.exp(6.0))]
+        np.testing.assert_allclose(
+            held_out_nll_per_sample(features, labels, samples), want, rtol=1e-12
+        )
+
+    def test_per_sample_rows_average_to_the_pooled_value(self):
+        rng = np.random.default_rng(6)
+        features = rng.standard_normal((7, 3))
+        labels = np.where(rng.random(7) < 0.5, -1.0, 1.0)
+        samples = rng.standard_normal((5, 3))
+        rows = held_out_nll_per_sample(features, labels, samples)
+        assert rows.shape == (5,)
+        np.testing.assert_allclose(
+            rows.mean(), held_out_nll(features, labels, samples), rtol=1e-14
+        )

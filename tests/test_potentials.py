@@ -260,8 +260,9 @@ class TestLogisticPotential:
         labels = np.array([1.0, -1.0])
         model = LogisticPotential(features, labels, ridge=0.5)
         x = np.array([0.3, -0.4])
-        want = softplus(-0.3) + softplus(-0.8)
-        np.testing.assert_allclose(model.negative_log_likelihood(x), want, rtol=1e-12)
+        ridge_term = 0.5 * 0.5 * (0.3**2 + 0.4**2)
+        want = ridge_term + softplus(-0.3) + softplus(-0.8)
+        np.testing.assert_allclose(model.potential_full(x), want, rtol=1e-12)
 
     def test_rejects_bad_labels_and_shapes(self):
         good = np.ones((3, 2))
