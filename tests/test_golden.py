@@ -6,11 +6,12 @@ sizes 1, 3 and N, and hash the recorded positions, velocities,
 potentials, queries and squared gradient errors. Output cases hash every
 file run_synthetic and run_logistic write for small configs, and the text
 print_advisory prints for both targets. The logistic runs cover a dense
-toy input with and without standardization, and a sparse input with
+toy input with and without standardization, a sparse input with
 explicit zeros, absent entries and constant columns (an intercept and an
-all-zero feature), standardized. Every run goes through the
-working directory of the test with relative paths, so the config echo in
-summary.json is the same on every machine.
+all-zero feature), standardized, and an input with {0, 1} labels, a
+blank line and a declared feature the data never uses. Every run goes
+through the working directory of the test with relative paths, so the
+config echo in summary.json is the same on every machine.
 
 A refactor must leave every hash here unchanged; a hash is only ever
 re-stored for a change that is meant to alter results, and the change
@@ -83,6 +84,7 @@ OUTPUT_HASHES = {
     "logistic-advisory": "4aab1ae5d7e364593091937c97e6e9b65e5cfbf54b937a73e2a3079a64271050",
     "unstandardized-results": "b7f3fd2ddbc4f49182cc660eadd48abfeb9acfff766cc69c6fac2b4de2b5c081",
     "sparse-results": "8aab25dd8105e0d6e708c66a28df9398f4ec715b335102d6526d50eb4a2e9a2e",
+    "binary-results": "1eac6d4ae893cad4da70aca0644f7ba9283b0f43782c06a57ee88fde3dbd3905",
 }
 
 SYNTHETIC_CONFIG = """
@@ -135,6 +137,8 @@ seed = 6
 batch = 2
 diagnostics = true
 """
+
+BINARY_CONFIG = LOGISTIC_CONFIG.replace("toy.libsvm", "binary.libsvm") + "n_features = 4\n"
 
 
 def quadratic_target():
@@ -219,6 +223,25 @@ def write_sparse_libsvm(path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def write_binary_libsvm(path):
+    """Rows labelled 0 or 1 over features 1-3, with a blank line among them.
+
+    Each feature is present with probability 3/4; BINARY_CONFIG sets
+    n_features = 4, one wider than the data, so feature 4 is all zero.
+    """
+    rng = np.random.default_rng(9)
+    lines = []
+    for _ in range(20):
+        cells = [
+            f"{j + 1}:{v}"
+            for j, v in enumerate(rng.standard_normal(3).round(3))
+            if rng.random() < 0.75
+        ]
+        lines.append(" ".join([str(rng.integers(2))] + cells))
+    lines.insert(7, "")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 # output case name -> (config text, writer of the data file it reads)
 INPUTS = {
     "synthetic": (SYNTHETIC_CONFIG, None),
@@ -228,6 +251,7 @@ INPUTS = {
         lambda: write_libsvm("toy.libsvm"),
     ),
     "sparse": (SPARSE_CONFIG, lambda: write_sparse_libsvm("sparse.libsvm")),
+    "binary": (BINARY_CONFIG, lambda: write_binary_libsvm("binary.libsvm")),
 }
 
 
@@ -256,6 +280,7 @@ OUTPUT_CASES = [
     "logistic-advisory",
     "unstandardized-results",
     "sparse-results",
+    "binary-results",
 ]
 
 
