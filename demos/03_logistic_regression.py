@@ -42,14 +42,13 @@ lines = [
     for i in range(n)
 ]
 dataset = parse_libsvm(lines)
-exact = np.array_equal(dataset.to_dense(), features)
+exact = np.array_equal(dataset.features, features)
 print(f"parsed back: {dataset.n_rows} rows, {dataset.n_features} features, "
       f"values recovered exactly: {exact}")
 
 train, test = train_test_split(dataset, train_fraction=0.8, seed=0)
 print(f"split: {train.n_rows} train / {test.n_rows} test\n")
-# sampling and standardization work on dense arrays: densify each split once
-train_features, test_features = train.to_dense(), test.to_dense()
+train_features, test_features = train.features, test.features
 
 print("=== standardize is available when features arrive on wild scales ===")
 scaled_train, _, transform = standardize(train_features)

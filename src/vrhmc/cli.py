@@ -149,15 +149,6 @@ def _reader(annotation):
 _KEY_TYPES = {entry.name: _reader(entry.type) for entry in fields(ExperimentConfig)}
 
 
-def _parse_value(name, text):
-    text = text.strip()
-    read = _KEY_TYPES[name]
-    try:
-        return read(text)
-    except KeyError:  # a word _BOOL_WORDS does not know
-        raise ValueError(f"cannot read boolean {name} = {text!r}") from None
-
-
 def load_config(path=None, overrides=None):
     """Build an ExperimentConfig from a flat key = value file plus overrides.
 
@@ -183,11 +174,18 @@ def load_config(path=None, overrides=None):
                     raise ValueError(f"{path}:{lineno}: unknown method prefix {method!r}")
                 if sub not in _METHOD_KEYS:
                     raise ValueError(f"{path}:{lineno}: unsupported override {key!r}")
-                method_overrides.setdefault(method, {})[sub] = _parse_value(sub, text)
+                store, name = method_overrides.setdefault(method, {}), sub
             elif key in known:
-                settings[key] = _parse_value(key, text)
+                store, name = settings, key
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            try:
+                store[name] = _KEY_TYPES[name](text)
+            except (KeyError, ValueError) as err:  # KeyError: not in _BOOL_WORDS
+                reason = "not a boolean word" if isinstance(err, KeyError) else err
+                raise ValueError(
+                    f"{path}:{lineno}: cannot read {key} = {text!r}: {reason}"
+                ) from None
     if overrides:
         settings.update({k: v for k, v in overrides.items() if v is not None})
     settings["method_overrides"] = method_overrides
@@ -219,8 +217,9 @@ def _jsonable(value):
 def _build_model(config, experiment):
     """The target of an experiment, and its held-out (features, labels).
 
-    The held-out pair is None for the synthetic target. Each logistic
-    split is densified once, then standardized if configured.
+    The held-out pair is None for the synthetic target. The logistic data
+    is parsed, split, and each side standardized if configured; the
+    parsed whole is released once it is split.
     """
     if experiment != "logistic":
         model = QuadraticPotential.random(
@@ -233,13 +232,14 @@ def _build_model(config, experiment):
         return model, None
     if config.data is None:
         raise ValueError("logistic experiments need 'data = <libsvm file>'")
-    dataset = dataio.parse_libsvm(
-        config.data, label_map=config.label_map, n_features=config.n_features
-    )
     train, test = dataio.train_test_split(
-        dataset, config.train_fraction, config.split_seed
+        dataio.parse_libsvm(
+            config.data, label_map=config.label_map, n_features=config.n_features
+        ),
+        config.train_fraction,
+        config.split_seed,
     )
-    train_features, test_features = train.to_dense(), test.to_dense()
+    train_features, test_features = train.features, test.features
     if config.standardize:
         train_features, test_features, _ = dataio.standardize(
             train_features, test_features

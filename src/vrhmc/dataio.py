@@ -4,20 +4,19 @@ The on-disk format is one example per line,
 
     <label> <index>:<value> <index>:<value> ...
 
-with 1-based, strictly increasing feature indices. Datasets are stored
-sparse (CSR-style flat arrays) with labels normalized to {-1, +1}. The
-three label conventions found in common binary benchmark files are
-supported: {-1, +1} kept as is, {0, 1} mapped order-preservingly to
-{-1, +1}, and {1, 2} likewise.
+with 1-based, strictly increasing feature indices and finite values;
+an absent index is a zero. A Dataset holds the labels, normalized to
+{-1, +1}, and a dense (rows, features) array. The three label
+conventions found in common binary benchmark files are supported:
+{-1, +1} kept as is, {0, 1} mapped order-preservingly to {-1, +1}, and
+{1, 2} likewise.
 
-Parsing and splitting work on sparse Datasets. Everything downstream
-works on dense arrays: a split is densified once with Dataset.to_dense(),
-and standardize fits and applies its transform to those arrays.
+Parsing fills the dense array directly, a split is a row take, and
+standardize fits and applies its transform to the split's arrays.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,43 +34,27 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Sparse binary-classification dataset.
+    """Binary-classification dataset: labels in {-1, +1}, dense features.
 
-    Row i holds features indices[indptr[i]:indptr[i+1]] with the matching
-    values; indices are 0-based and strictly increasing within a row.
+    features is a (rows, features) float array; row i goes with labels[i].
     """
 
     labels: np.ndarray
-    indptr: np.ndarray
-    indices: np.ndarray
-    values: np.ndarray
-    n_features: int
+    features: np.ndarray
 
     @property
     def n_rows(self):
-        return self.labels.shape[0]
+        return self.features.shape[0]
 
-    def row(self, i):
-        """(indices, values) pair for one row."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
-    def to_dense(self):
-        dense = np.zeros((self.n_rows, self.n_features))
-        for i in range(self.n_rows):
-            idx, val = self.row(i)
-            dense[i, idx] = val
-        return dense
+    @property
+    def n_features(self):
+        return self.features.shape[1]
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
-        return (
-            self.n_features == other.n_features
-            and np.array_equal(self.labels, other.labels)
-            and np.array_equal(self.indptr, other.indptr)
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.values, other.values)
+        return np.array_equal(self.labels, other.labels) and np.array_equal(
+            self.features, other.features
         )
 
 
@@ -169,6 +152,17 @@ def parse_libsvm(source, label_map="auto", n_features=None):
             values.append(value)
         max_index = max(max_index, prev_index)
         indptr.append(len(indices))
+    values = np.asarray(values, dtype=float)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = int(np.searchsorted(indptr, k, side="right")) - 1
+        lineno = [n for n, text in enumerate(lines, start=1) if text.strip()][row]
+        pos = k - indptr[row] + 2
+        raise LibsvmFormatError(
+            f"line {lineno}, token {pos}: non-finite value "
+            f"{lines[lineno - 1].split()[pos - 1]!r}"
+        )
     if not raw_labels:
         raise LibsvmFormatError("no data rows found")
     inferred = max_index + 1
@@ -179,46 +173,23 @@ def parse_libsvm(source, label_map="auto", n_features=None):
             f"n_features={n_features} is smaller than the observed maximum "
             f"index ({inferred})"
         )
-    return Dataset(
-        labels=_map_labels(raw_labels, label_map),
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.asarray(indices, dtype=np.int64),
-        values=np.asarray(values, dtype=float),
-        n_features=int(n_features),
-    )
+    features = np.zeros((len(raw_labels), n_features))
+    features[np.repeat(np.arange(len(raw_labels)), np.diff(indptr)), indices] = values
+    return Dataset(labels=_map_labels(raw_labels, label_map), features=features)
 
 
 def emit_libsvm(dataset):
     """Serialize a Dataset back to LIBSVM text.
 
-    Values are written with repr, so emit followed by parse reproduces the
-    Dataset exactly (indices go back to 1-based on the way out).
+    Each row's nonzeros are written with repr, so emit followed by parse
+    (with the same n_features) reproduces the Dataset exactly.
     """
     lines = []
-    for i in range(dataset.n_rows):
-        idx, val = dataset.row(i)
-        parts = [str(int(dataset.labels[i]))]
-        parts.extend(f"{j + 1}:{float(v)!r}" for j, v in zip(idx, val))
+    for label, row in zip(dataset.labels, dataset.features):
+        parts = [str(int(label))]
+        parts.extend(f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
-
-
-def _take_rows(dataset, order):
-    indptr = [0]
-    indices = []
-    values = []
-    for i in order:
-        idx, val = dataset.row(i)
-        indices.append(idx)
-        values.append(val)
-        indptr.append(indptr[-1] + idx.size)
-    return Dataset(
-        labels=dataset.labels[order].copy(),
-        indptr=np.asarray(indptr, dtype=np.int64),
-        indices=np.concatenate(indices) if indices else np.empty(0, dtype=np.int64),
-        values=np.concatenate(values) if values else np.empty(0),
-        n_features=dataset.n_features,
-    )
 
 
 def train_test_split(dataset, train_fraction, seed):
@@ -235,7 +206,10 @@ def train_test_split(dataset, train_fraction, seed):
             f"train_fraction={train_fraction} leaves an empty split for n={n}"
         )
     order = np.random.default_rng(seed).permutation(n)
-    return _take_rows(dataset, order[:n_train]), _take_rows(dataset, order[n_train:])
+    return tuple(
+        Dataset(dataset.labels[rows], dataset.features[rows])
+        for rows in np.split(order, [n_train])
+    )
 
 
 @dataclass(frozen=True)
@@ -255,13 +229,12 @@ class StandardizeTransform:
 def standardize(train, test=None):
     """Standardize dense feature arrays to zero mean, unit variance.
 
-    train and test are (rows, features) arrays, typically from
-    Dataset.to_dense(); the transform is fitted on train alone.
+    train and test are (rows, features) arrays, typically the features of
+    the two sides of a split; the transform is fitted on train alone.
     Zero-variance features pass through untouched (shift 0, scale 1) so
     constant columns such as intercepts survive. Returns the transformed
     train array, the transformed test array (None if not given), and the
-    fitted transform. The output is dense: shifting makes zeros
-    informative.
+    fitted transform.
     """
     mean = train.mean(axis=0)
     std = train.std(axis=0)

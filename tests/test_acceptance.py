@@ -305,8 +305,8 @@ def test_7_logistic_benchmark_orderings_at_equal_query_budgets():
         for i in range(n)
     ]
     dataset = parse_libsvm(lines, n_features=d)
-    np.testing.assert_array_equal(dataset.to_dense(), features)
-    model = LogisticPotential(dataset.to_dense(), dataset.labels, ridge=1.0)
+    np.testing.assert_array_equal(dataset.features, features)
+    model = LogisticPotential(dataset.features, dataset.labels, ridge=1.0)
 
     budget = 50 * n
     window_potential = {}
@@ -395,21 +395,11 @@ def test_9_libsvm_round_trip_and_benchmark_shapes():
         n_features = int(rng.integers(1, 15))
         density = float(rng.uniform(0.1, 1.0))
         labels = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
-        indptr = [0]
-        indices = []
-        values = []
-        for _ in range(n_rows):
+        features = np.zeros((n_rows, n_features))
+        for row in features:
             cols = np.flatnonzero(rng.random(n_features) < density)
-            indices.extend(cols.tolist())
-            values.extend(rng.standard_normal(cols.size).tolist())
-            indptr.append(len(indices))
-        dataset = Dataset(
-            labels=labels,
-            indptr=np.array(indptr),
-            indices=np.array(indices, dtype=int),
-            values=np.array(values),
-            n_features=n_features,
-        )
+            row[cols] = rng.standard_normal(cols.size)
+        dataset = Dataset(labels=labels, features=features)
         back = parse_libsvm(
             emit_libsvm(dataset).splitlines(), n_features=n_features
         )

@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -183,6 +184,26 @@ class TestLoadConfig:
     def test_bad_boolean(self, tmp_path):
         path = write_config(tmp_path, "diagnostics = maybe\n")
         with pytest.raises(ValueError, match="boolean"):
+            load_config(path)
+
+    # one unreadable value per kind of reader: int, float, int | None,
+    # float | None, a per-method key, bool
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "steps = 1.5",
+            "ridge = heavy",
+            "epoch = many",
+            "xi = small",
+            "svrg.epoch = ten",
+            "diagnostics = maybe",
+        ],
+    )
+    def test_unreadable_value_reports_file_line_and_key(self, tmp_path, line):
+        path = write_config(tmp_path, f"seed = 1\n{line}\n")
+        key, value = line.split(" = ")
+        where = re.escape(f"{key} = '{value}'")
+        with pytest.raises(ValueError, match=rf"run\.cfg:2: .*{where}"):
             load_config(path)
 
     def test_unknown_method_name(self, tmp_path):

@@ -15,21 +15,11 @@ from vrhmc.dataio import (
 
 def random_dataset(rng, n_rows, n_features, density=0.6):
     labels = np.where(rng.random(n_rows) < 0.5, -1.0, 1.0)
-    indptr = [0]
-    indices = []
-    values = []
-    for _ in range(n_rows):
+    features = np.zeros((n_rows, n_features))
+    for row in features:
         cols = np.flatnonzero(rng.random(n_features) < density)
-        indices.extend(cols.tolist())
-        values.extend(rng.standard_normal(cols.size).tolist())
-        indptr.append(len(indices))
-    return Dataset(
-        labels=labels,
-        indptr=np.array(indptr),
-        indices=np.array(indices, dtype=int),
-        values=np.array(values),
-        n_features=n_features,
-    )
+        row[cols] = rng.standard_normal(cols.size)
+    return Dataset(labels=labels, features=features)
 
 
 class TestParse:
@@ -43,7 +33,7 @@ class TestParse:
         assert data.n_features == 3
         np.testing.assert_array_equal(data.labels, [1.0, -1.0])
         np.testing.assert_allclose(
-            data.to_dense(), [[0.5, 0.0, -2.0], [0.0, 1.25, 0.0]]
+            data.features, [[0.5, 0.0, -2.0], [0.0, 1.25, 0.0]]
         )
 
     def test_reads_from_path(self, tmp_path):
@@ -88,6 +78,13 @@ class TestParse:
         message = str(err.value)
         assert "line 1" in message and "oops" in message
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_reports_line_and_token(self, value):
+        with pytest.raises(LibsvmFormatError) as err:
+            parse_libsvm(["+1 1:1.0", "", f"-1 1:2.0 3:{value}", "+1 2:nan"])
+        message = str(err.value)
+        assert "line 3, token 3" in message and f"3:{value}" in message
+
     def test_indices_must_be_one_based(self):
         with pytest.raises(LibsvmFormatError) as err:
             parse_libsvm(["+1 0:1.0"])
@@ -123,7 +120,7 @@ class TestRoundTrip:
                 n_rows=int(rng.integers(1, 12)),
                 n_features=int(rng.integers(1, 9)),
             )
-            covered = dataset.n_features in dataset.indices + 1
+            covered = bool(dataset.features[:, -1].any())
             back = parse_libsvm(
                 emit_libsvm(dataset).splitlines(),
                 n_features=dataset.n_features,
@@ -145,10 +142,10 @@ class TestSplit:
         assert train_a == train_b and test_a == test_b
         assert train_a.n_rows == 21 and test_a.n_rows == 9
         merged = np.sort(
-            np.concatenate([train_a.to_dense().sum(axis=1), test_a.to_dense().sum(axis=1)])
+            np.concatenate([train_a.features.sum(axis=1), test_a.features.sum(axis=1)])
         )
         np.testing.assert_allclose(
-            merged, np.sort(dataset.to_dense().sum(axis=1)), rtol=1e-12
+            merged, np.sort(dataset.features.sum(axis=1)), rtol=1e-12
         )
 
     def test_even_split_of_690(self):
@@ -169,8 +166,8 @@ class TestSplit:
 class TestStandardize:
     def test_train_statistics_and_inversion(self):
         rng = np.random.default_rng(4)
-        train = random_dataset(rng, 40, 6, density=1.0).to_dense()
-        test = random_dataset(rng, 10, 6, density=1.0).to_dense()
+        train = random_dataset(rng, 40, 6, density=1.0).features
+        test = random_dataset(rng, 10, 6, density=1.0).features
         train_out, test_out, transform = standardize(train, test)
         np.testing.assert_allclose(train_out.mean(axis=0), 0.0, atol=1e-12)
         np.testing.assert_allclose(train_out.std(axis=0), 1.0, rtol=1e-12)
@@ -194,32 +191,16 @@ class TestStandardize:
         rng = np.random.default_rng(5)
         with pytest.raises(ValueError):
             standardize(
-                random_dataset(rng, 5, 3).to_dense(),
-                random_dataset(rng, 5, 4).to_dense(),
+                random_dataset(rng, 5, 3).features,
+                random_dataset(rng, 5, 4).features,
             )
 
 
 class TestDataset:
-    def test_row_and_dense_agree(self):
-        rng = np.random.default_rng(6)
-        dataset = random_dataset(rng, 8, 5)
-        dense = dataset.to_dense()
-        for i in range(8):
-            idx, val = dataset.row(i)
-            row = np.zeros(5)
-            row[idx] = val
-            np.testing.assert_array_equal(row, dense[i])
-
     def test_equality_is_content_based(self):
         rng = np.random.default_rng(7)
         a = random_dataset(rng, 6, 4)
-        b = Dataset(
-            labels=a.labels.copy(),
-            indptr=a.indptr.copy(),
-            indices=a.indices.copy(),
-            values=a.values.copy(),
-            n_features=a.n_features,
-        )
+        b = Dataset(labels=a.labels.copy(), features=a.features.copy())
         assert a == b
-        b.values[0] += 1.0
+        b.features[0, 0] += 1.0
         assert a != b
