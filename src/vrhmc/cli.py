@@ -387,10 +387,14 @@ def run_synthetic(config):
     }
     table = [["method", "potential_mse", "gradient_mse", "final_w2", "mean_queries_per_step"]]
     for method, ensemble, entry in _run_methods(config, model):
-        w2 = wasserstein_tracker(ensemble.records, target_mean, target_cov)
+        # pooled is None below the d + 1 samples the tracker needs to fit
+        w2 = None
+        entry["final_w2"] = None
+        if ensemble.pooled is not None:
+            w2 = wasserstein_tracker(ensemble.records, target_mean, target_cov)
+            finite_w2 = w2[np.isfinite(w2)]
+            entry["final_w2"] = float(finite_w2[-1]) if finite_w2.size else None
         entry["potential_mse"] = metrics.potential_mse(ensemble.records, reference)
-        finite_w2 = w2[np.isfinite(w2)]
-        entry["final_w2"] = float(finite_w2[-1]) if finite_w2.size else None
         summary["methods"][method] = entry
         columns = [
             ensemble.iterations,
@@ -451,13 +455,9 @@ def run_logistic(config):
             ],
             axis=0,
         )
-        tail = ensemble.iterations >= entry["burn_in"]
-        if tail.any():
-            pooled_tail = np.concatenate(
-                [r.positions[tail] for r in ensemble.records]
-            )
+        if len(ensemble.samples):
             entry["final_test_nll"] = metrics.test_nll(
-                test_features, test_labels, pooled_tail
+                test_features, test_labels, ensemble.samples
             )
         summary["methods"][method] = entry
         columns = [

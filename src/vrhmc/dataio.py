@@ -24,6 +24,7 @@ import numpy as np
 
 __all__ = [
     "Dataset",
+    "LibsvmFormatError",
     "parse_libsvm",
     "emit_libsvm",
     "train_test_split",

@@ -1,9 +1,10 @@
 """Finite-sum potentials for smooth, strongly log-concave targets.
 
 A potential is f(x) = sum_i f_i(x) over n_components smooth terms. The
-samplers in this package touch a target only through component gradients,
-full gradients, and potential values, so new targets plug in by
-subclassing PotentialModel and implementing the component-level methods.
+samplers in this package touch a target only through batch gradients,
+full gradients and potential values, so a new target plugs in by
+subclassing PotentialModel, setting its four attributes and implementing
+gradient_batch, gradient_full and potential_full.
 """
 
 from __future__ import annotations
@@ -42,6 +43,11 @@ class PotentialModel:
         Lipschitz constant L of the full gradient.
     strong_convexity : float
         Strong convexity constant m of f (0 when the model is only convex).
+
+    A subclass sets these and implements the three methods the samplers
+    call: gradient_batch(indices, x), the component gradients at x as a
+    (len(indices), d) array; gradient_full(x), the gradient of f; and
+    potential_full(x), the value f(x) as a float.
     """
 
     n_components: int
@@ -53,24 +59,6 @@ class PotentialModel:
     def condition_number(self):
         return self.smoothness / self.strong_convexity
 
-    def gradient_component(self, i, x):
-        """Gradient of the single component f_i at x."""
-        raise NotImplementedError
-
-    def gradient_batch(self, indices, x):
-        """Component gradients stacked into a (len(indices), d) array.
-
-        Subclasses override this with a vectorized version; the default
-        just loops over gradient_component.
-        """
-        x = self._check_point(x)
-        return np.stack([self.gradient_component(i, x) for i in indices])
-
-    def gradient_full(self, x):
-        """Gradient of the full potential, sum_i grad f_i(x)."""
-        x = self._check_point(x)
-        return self.gradient_batch(np.arange(self.n_components), x).sum(axis=0)
-
     def gradient_rows(self, points):
         """Full gradients at every row of an (n, d) array of points.
 
@@ -81,17 +69,6 @@ class PotentialModel:
         """
         points = self._check_points(points)
         return np.array([self.gradient_full(p) for p in points]).reshape(points.shape)
-
-    def potential_component(self, i, x):
-        """Value of the single component f_i at x."""
-        raise NotImplementedError
-
-    def potential_full(self, x):
-        """Value of the full potential f(x)."""
-        x = self._check_point(x)
-        return float(
-            sum(self.potential_component(i, x) for i in range(self.n_components))
-        )
 
     def _check_point(self, x):
         x = np.asarray(x, dtype=float)
@@ -296,10 +273,8 @@ class LogisticPotential(PotentialModel):
             v = w / norm
         return float(v @ (self.features.T @ (self.features @ v)))
 
-    def _margins(self, x, indices=None):
-        if indices is None:
-            return self.labels * (self.features @ x)
-        return self.labels[indices] * (self.features[indices] @ x)
+    def _margins(self, x):
+        return self.labels * (self.features @ x)
 
     def gradient_component(self, i, x):
         i = self._check_index(i)

@@ -287,7 +287,9 @@ class EnsembleResult:
 
     Chains share the recorded-iteration grid; queries can differ between
     chains for estimators with random restarts, so the aggregate query
-    axis is the across-chain mean.
+    axis is the across-chain mean. samples holds every chain's
+    post-burn-in positions, chain by chain; pooled is their Gaussian fit,
+    None when there are fewer than d + 1 of them.
     """
 
     records: list
@@ -296,6 +298,7 @@ class EnsembleResult:
     mean_potentials: np.ndarray
     mean_grad_err_sq: np.ndarray | None
     mean_q_values: np.ndarray | None
+    samples: np.ndarray
     pooled: GaussianSummary | None
 
 
@@ -319,10 +322,10 @@ def run_ensemble(config, model):
         np.mean([r.q_values for r in records], axis=0) if config.record_q else None
     )
     tail = iterations >= config.burn_in
+    samples = np.concatenate([r.positions[tail] for r in records])
     pooled = None
-    pooled_positions = np.concatenate([r.positions[tail] for r in records])
-    if pooled_positions.shape[0] >= model.dimension + 1:
-        pooled = GaussianSummary.from_samples(pooled_positions)
+    if samples.shape[0] >= model.dimension + 1:
+        pooled = GaussianSummary.from_samples(samples)
     return EnsembleResult(
         records=records,
         iterations=iterations,
@@ -330,6 +333,7 @@ def run_ensemble(config, model):
         mean_potentials=mean_potentials,
         mean_grad_err_sq=mean_grad,
         mean_q_values=mean_q,
+        samples=samples,
         pooled=pooled,
     )
 

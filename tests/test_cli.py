@@ -276,6 +276,28 @@ class TestSynthetic:
             assert (out / name).read_bytes() == before[name], name
 
 
+    def test_too_few_pooled_samples_write_no_w2(self, tmp_path):
+        # one chain keeps rows 50 and 55 past burn-in: 2 samples, and a
+        # d = 2 covariance fit needs 3
+        text = TINY_SYNTHETIC.replace("chains = 2", "chains = 1").replace(
+            "burn_in = 20", "burn_in = 50"
+        )
+        config = load_config(
+            write_config(tmp_path, text), {"out": str(tmp_path / "results")}
+        )
+        summary = run_synthetic(config)
+        out = tmp_path / "results"
+        loaded = json.loads((out / "summary.json").read_text())
+        for method in ("full", "sg"):
+            assert summary["methods"][method]["final_w2"] is None
+            assert loaded["methods"][method]["final_w2"] is None
+            assert "pooled_mean" not in loaded["methods"][method]
+            rows = (out / f"{method}.csv").read_text().splitlines()[1:]
+            assert len(rows) == 12
+            assert all(row.split(",")[-1] == "nan" for row in rows)
+        table = (out / "comparison.txt").read_text().splitlines()
+        assert [row.split()[3] for row in table[1:]] == ["n/a", "n/a"]
+
     def test_queries_per_step_uses_each_methods_step_count(self, tmp_path):
         config = load_config(
             write_config(tmp_path, TINY_SYNTHETIC + "sg.steps = 40\n"),

@@ -1,12 +1,15 @@
 """Tests for the chain driver, ensembles, and convergence tracking."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from vrhmc.cli import _csv
 from vrhmc.integrator import noise_coefficients
 from vrhmc.metrics import GaussianSummary, bures_w2
-from vrhmc.potentials import QuadraticPotential
+from vrhmc.estimators import ESTIMATOR_KINDS
+from vrhmc.potentials import LogisticPotential, PotentialModel, QuadraticPotential
 from vrhmc.sampler import (
     ChainDivergence,
     RunRecord,
@@ -271,6 +274,7 @@ class TestRunEnsemble:
         )
         tail = ensemble.iterations >= config.burn_in
         pooled = np.concatenate([r.positions[tail] for r in ensemble.records])
+        np.testing.assert_array_equal(ensemble.samples, pooled)
         expected = GaussianSummary.from_samples(pooled)
         np.testing.assert_allclose(ensemble.pooled.mean, expected.mean, rtol=1e-12)
         np.testing.assert_allclose(ensemble.pooled.cov, expected.cov, rtol=1e-12)
@@ -286,6 +290,68 @@ class TestRunEnsemble:
         assert not np.array_equal(a.positions, b.positions)
         np.testing.assert_array_equal(a.positions, second.records[0].positions)
         np.testing.assert_array_equal(b.positions, second.records[1].positions)
+
+
+class DelegatingTarget(PotentialModel):
+    """A custom target that implements only the documented contract."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n_components = inner.n_components
+        self.dimension = inner.dimension
+        self.smoothness = inner.smoothness
+        self.strong_convexity = inner.strong_convexity
+
+    def gradient_batch(self, indices, x):
+        return self.inner.gradient_batch(indices, x)
+
+    def gradient_full(self, x):
+        return self.inner.gradient_full(x)
+
+    def potential_full(self, x):
+        return self.inner.potential_full(x)
+
+
+def small_logistic(seed=0, n=20, d=3):
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, d))
+    labels = rng.choice([-1.0, 1.0], size=n)
+    return LogisticPotential(features, labels, ridge=0.5)
+
+
+class TestCustomTarget:
+    def test_inherits_gradient_rows(self):
+        assert "gradient_rows" not in vars(DelegatingTarget)
+        assert DelegatingTarget.gradient_rows is PotentialModel.gradient_rows
+
+    @pytest.mark.parametrize("target", ("quadratic", "logistic"))
+    @pytest.mark.parametrize("batch", (1, 3))
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_run_chain_matches_the_builtin_target(self, kind, batch, target):
+        inner = small_model(seed=4, d=3) if target == "quadratic" else small_logistic(4)
+        config = SamplerConfig(
+            n_steps=300,
+            step=0.05,
+            estimator=kind,
+            batch_size=batch,
+            epoch_length=7,
+            burn_in=50,
+            record_stride=3,
+            seed=17,
+            x0=np.linspace(-0.5, 0.5, inner.dimension),
+            diagnostics=True,
+            record_q=True,
+            record_velocity=True,
+        )
+        builtin = run_chain(config, inner)
+        custom = run_chain(config, DelegatingTarget(inner))
+        for entry in fields(builtin):
+            if entry.name == "wall_time":
+                continue
+            want, got = getattr(builtin, entry.name), getattr(custom, entry.name)
+            assert (want is None) == (got is None), entry.name
+            if want is not None:
+                np.testing.assert_array_equal(got, want, err_msg=entry.name)
 
 
 class TestWassersteinTracker:
