@@ -12,7 +12,8 @@ with the method name, e.g. 'svrg.epoch = 500'. Given the same config and
 seed, every emitted file is byte-identical between runs; wall-clock times
 are therefore reported on stderr only, never written into results: one
 line per method with its chains' wall seconds, microseconds per
-chain-step, and component-gradient queries per second.
+chain-step, component-gradient queries per second, and the process's
+peak resident memory so far.
 
 Example config:
 
@@ -30,8 +31,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import resource
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -104,7 +106,6 @@ class ExperimentConfig:
             n_chains=self.chains,
             seed=self.seed,
             diagnostics=self.diagnostics,
-            record_q=self.record_q,
             **per_method,
         )
 
@@ -252,7 +253,8 @@ def _advisory(model, sampler_config):
     """MSEB descriptor of one method and its sufficient step size h <= bound.
 
     The theory wants L h <= min(1, 1/sqrt(theta)) / (10 kappa). The bound
-    is None for estimators without a finite theta.
+    is None for estimators without a finite theta and for targets without
+    strong convexity (m = 0, so kappa is infinite).
     """
     descriptor = mseb_descriptor(
         sampler_config.estimator,
@@ -260,7 +262,7 @@ def _advisory(model, sampler_config):
         batch_size=sampler_config.batch_size,
         epoch_length=sampler_config.epoch_length,
     )
-    if not descriptor.bounded:
+    if not descriptor.bounded or math.isinf(model.condition_number):
         return descriptor, None
     theta = descriptor.theta
     cap = 1.0 if theta == 0.0 else min(1.0, 1.0 / math.sqrt(theta))
@@ -296,7 +298,8 @@ def _method_summary(model, sampler_config, ensemble):
 
 
 def _report_timing(method, n_steps, ensemble):
-    """One stderr line: the method's chain wall time, per step and per query."""
+    """One stderr line: the method's chain wall time, per step and per query,
+    and the peak resident memory of the process so far."""
     records = ensemble.records
     wall = sum(r.wall_time for r in records)
     chain_steps = max(n_steps * len(records), 1)
@@ -304,18 +307,27 @@ def _report_timing(method, n_steps, ensemble):
     print(
         f"{method}: {wall:.3f} s wall over {len(records)} chain(s), "
         f"{1e6 * wall / chain_steps:.3g} us/chain-step, "
-        f"{queries / wall if wall > 0 else math.inf:.3g} queries/s",
+        f"{queries / wall if wall > 0 else math.inf:.3g} queries/s, "
+        f"peak RSS {_peak_rss_mb():.1f} MB",
         file=sys.stderr,
     )
 
 
-def _run_methods(config, model):
+def _peak_rss_mb():
+    # ru_maxrss counts kilobytes on Linux and bytes on macOS
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
+def _run_methods(config, model, record_q):
     """Run each configured method's ensemble; yield (method, ensemble, entry).
 
     entry is the method's summary.json record, which callers extend.
+    record_q asks the chains for q values (O(N d) per recorded row); only
+    a driver that writes them passes config.record_q.
     """
     for method in config.methods:
-        sampler_config = config.sampler_config(method)
+        sampler_config = replace(config.sampler_config(method), record_q=record_q)
         ensemble = run_ensemble(sampler_config, model)
         _report_timing(method, sampler_config.n_steps, ensemble)
         yield method, ensemble, _method_summary(model, sampler_config, ensemble)
@@ -386,7 +398,7 @@ def run_synthetic(config):
         "methods": {},
     }
     table = [["method", "potential_mse", "gradient_mse", "final_w2", "mean_queries_per_step"]]
-    for method, ensemble, entry in _run_methods(config, model):
+    for method, ensemble, entry in _run_methods(config, model, config.record_q):
         # pooled is None below the d + 1 samples the tracker needs to fit
         w2 = None
         entry["final_w2"] = None
@@ -444,7 +456,8 @@ def run_logistic(config):
         },
         "methods": {},
     }
-    for method, ensemble, entry in _run_methods(config, model):
+    # the logistic CSVs and summary have no q column, so no q is computed
+    for method, ensemble, entry in _run_methods(config, model, record_q=False):
         # held-out NLL along the trace, averaged across chains
         nll_rows = np.mean(
             [
@@ -484,17 +497,13 @@ def print_advisory(config, stream=None):
     for method in config.methods:
         sampler_config = config.sampler_config(method)
         descriptor, bound = _advisory(model, sampler_config)
+        theta, step = f"{descriptor.theta:.6g}", f"{sampler_config.step:.6g}"
         if bound is None:
-            rows.append([method, "inf", "n/a (unbounded variance)", f"{sampler_config.step:.6g}", "n/a"])
+            why = "unbounded variance" if not descriptor.bounded else "m = 0"
+            rows.append([method, theta, f"n/a ({why})", step, "n/a"])
         else:
             rows.append(
-                [
-                    method,
-                    f"{descriptor.theta:.6g}",
-                    f"{bound:.6g}",
-                    f"{sampler_config.step:.6g}",
-                    f"{sampler_config.step / bound:.3g}",
-                ]
+                [method, theta, f"{bound:.6g}", step, f"{sampler_config.step / bound:.3g}"]
             )
     text = (
         f"smoothness L = {model.smoothness:.6g}, "

@@ -221,7 +221,10 @@ class StandardizeTransform:
     scale: np.ndarray
 
     def apply(self, dense):
-        return (dense - self.shift) / self.scale
+        # one new array, divided in place; dense itself is left as it is
+        out = np.subtract(dense, self.shift)
+        out /= self.scale
+        return out
 
     def invert(self, dense):
         return dense * self.scale + self.shift

@@ -189,9 +189,8 @@ class SvrgEstimator(GradientEstimator):
             self.snapshot_gradient = model.gradient_full(self.snapshot)
             self.query_count += model.n_components
         self.query_count += 2 * len(batch)
-        correction = model.gradient_batch(batch, x) - model.gradient_batch(
-            batch, self.snapshot
-        )
+        correction = model.gradient_batch(batch, x)
+        correction -= model.gradient_batch(batch, self.snapshot)
         scale = model.n_components / len(batch)
         return scale * correction.sum(axis=0) + self.snapshot_gradient
 
@@ -221,7 +220,7 @@ class SagaEstimator(GradientEstimator):
         model = self.model
         self.query_count += len(batch)
         fresh = model.gradient_batch(batch, x)
-        residual = fresh - self.table[batch]
+        residual = fresh - self.table.take(batch, axis=0)
         if self._full_collapse():
             estimate = model.gradient_full(x)
         else:
@@ -269,9 +268,8 @@ class SarahEstimator(GradientEstimator):
             self.query_count += model.n_components
         else:
             self.query_count += 2 * len(batch)
-            diff = model.gradient_batch(batch, x) - model.gradient_batch(
-                batch, self.prev_point
-            )
+            diff = model.gradient_batch(batch, x)
+            diff -= model.gradient_batch(batch, self.prev_point)
             scale = model.n_components / len(batch)
             estimate = scale * diff.sum(axis=0) + self.prev_estimate
         self.prev_point = np.array(x, dtype=float)
@@ -305,7 +303,9 @@ class SargeEstimator(GradientEstimator):
         super().__init__(model, batch_size=batch_size)
         components = model.gradient_batch(np.arange(model.n_components), x0)
         self.prev_estimate = components.sum(axis=0)
-        self.table = (self.batch_size / model.n_components) * components
+        # the caller owns gradient_batch's array, so it becomes the table
+        components *= self.batch_size / model.n_components
+        self.table = components
         self.table_sum = self.table.sum(axis=0)
         self.prev_point = np.array(x0, dtype=float)
         self.query_count = model.n_components
@@ -316,10 +316,11 @@ class SargeEstimator(GradientEstimator):
         n = model.n_components
         self.query_count += 2 * len(batch)
         w = 1.0 - len(batch) / n
-        fresh = model.gradient_batch(batch, x) - w * model.gradient_batch(
-            batch, self.prev_point
-        )
-        residual = fresh - self.table[batch]
+        fresh = model.gradient_batch(batch, x)
+        previous = model.gradient_batch(batch, self.prev_point)
+        previous *= w
+        fresh -= previous
+        residual = fresh - self.table.take(batch, axis=0)
         if self._full_collapse():
             estimate = model.gradient_full(x)
         else:
@@ -393,10 +394,10 @@ def q_metric(model, x_current, x_next):
     x_current = model._check_point(x_current)
     x_next = model._check_point(x_next)
     indices = np.arange(model.n_components)
-    diff = model.gradient_batch(indices, x_next) - model.gradient_batch(
-        indices, x_current
-    )
-    return float(model.n_components * np.sum(diff * diff))
+    diff = model.gradient_batch(indices, x_next)
+    diff -= model.gradient_batch(indices, x_current)
+    diff *= diff
+    return float(model.n_components * np.sum(diff))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .potentials import softplus
+from .potentials import _softplus_in_place
 
 __all__ = [
     "GaussianSummary",
@@ -102,7 +102,8 @@ def potential_mse(records, reference):
 def _held_out_losses(features, labels, samples):
     # (S, N) matrix of log(1 + exp(-y_n a_n^T x_s)) from one stacked
     # product; a sample taken alone can round differently, since a (1, d)
-    # @ (d, N) product takes another BLAS path
+    # @ (d, N) product takes another BLAS path. The matrix is built in the
+    # product's own array, so the peak is two (S, N) arrays
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
@@ -110,8 +111,10 @@ def _held_out_losses(features, labels, samples):
         raise ValueError("features and labels disagree on the number of rows")
     if features.shape[0] == 0 or samples.shape[0] == 0:
         raise ValueError("need at least one test row and one sample")
-    margins = labels[None, :] * (samples @ features.T)
-    return softplus(-margins)
+    losses = samples @ features.T
+    np.multiply(labels, losses, out=losses)
+    np.negative(losses, out=losses)
+    return _softplus_in_place(losses)
 
 
 def test_nll(features, labels, samples):

@@ -9,6 +9,8 @@ gradient_batch, gradient_full and potential_full.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -27,7 +29,23 @@ def sigmoid(t):
 
 def softplus(t):
     """log(1 + exp(t)) via max(t, 0) + log1p(exp(-|t|)), stable for large |t|."""
-    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
+    return _softplus_in_place(np.array(t, dtype=float))
+
+
+def _softplus_in_place(t):
+    """Overwrite the float array t with softplus(t) and return it.
+
+    The only temporary is one array the size of t: |t| run through
+    negative, exp and log1p with out=. Each element still gets exactly
+    max(t, 0) + log1p(exp(-|t|)), the bits of the out-of-place form.
+    """
+    tail = np.abs(t, out=np.empty_like(t))
+    np.negative(tail, out=tail)
+    np.exp(tail, out=tail)
+    np.log1p(tail, out=tail)
+    np.maximum(t, 0.0, out=t)
+    t += tail
+    return t
 
 
 class PotentialModel:
@@ -48,6 +66,10 @@ class PotentialModel:
     call: gradient_batch(indices, x), the component gradients at x as a
     (len(indices), d) array; gradient_full(x), the gradient of f; and
     potential_full(x), the value f(x) as a float.
+
+    gradient_batch returns a new array that the caller owns: estimators
+    scale and subtract into it in place, so it must never be a view of,
+    or be kept by, the model.
     """
 
     n_components: int
@@ -57,6 +79,9 @@ class PotentialModel:
 
     @property
     def condition_number(self):
+        """L / m, and infinite for a target that is only convex (m = 0)."""
+        if self.strong_convexity == 0.0:
+            return math.inf
         return self.smoothness / self.strong_convexity
 
     def gradient_rows(self, points):
@@ -185,8 +210,11 @@ class QuadraticPotential(PotentialModel):
 
     def gradient_batch(self, indices, x):
         x = self._check_point(x)
-        diffs = x[None, :] - self.data[indices]
-        return (2.0 / self.n_components) * (diffs @ self.precision)
+        diffs = self.data.take(indices, axis=0)
+        np.subtract(x, diffs, out=diffs)
+        rows = diffs @ self.precision
+        rows *= 2.0 / self.n_components
+        return rows
 
     def gradient_full(self, x):
         x = self._check_point(x)
@@ -284,11 +312,14 @@ class LogisticPotential(PotentialModel):
         return (self.ridge / self.n_components) * x + coef * self.features[i]
 
     def gradient_batch(self, indices, x):
+        # take() gathers a fresh copy, which is scaled and shifted in place
         x = self._check_point(x)
-        rows = self.features[indices]
-        y = self.labels[indices]
+        rows = self.features.take(indices, axis=0)
+        y = self.labels.take(indices)
         coef = -y * sigmoid(-y * (rows @ x))
-        return (self.ridge / self.n_components) * x[None, :] + coef[:, None] * rows
+        rows *= coef[:, None]
+        rows += (self.ridge / self.n_components) * x
+        return rows
 
     def gradient_full(self, x):
         x = self._check_point(x)
@@ -305,4 +336,6 @@ class LogisticPotential(PotentialModel):
 
     def potential_full(self, x):
         x = self._check_point(x)
-        return float(0.5 * self.ridge * (x @ x) + softplus(-self._margins(x)).sum())
+        margins = self._margins(x)
+        losses = _softplus_in_place(np.negative(margins, out=margins))
+        return float(0.5 * self.ridge * (x @ x) + losses.sum())

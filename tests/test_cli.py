@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vrhmc import metrics
+from vrhmc import metrics, sampler
 from vrhmc.cli import (
     ExperimentConfig,
     _build_model,
@@ -327,6 +327,7 @@ class TestSynthetic:
         for line in lines:
             assert "s wall over 2 chain(s)" in line
             assert "us/chain-step" in line and "queries/s" in line
+            assert re.search(r", peak RSS \d+\.\d MB$", line)
 
 
 class TestLogistic:
@@ -405,6 +406,38 @@ class TestLogistic:
         with pytest.raises(ValueError, match="data"):
             run_logistic(config)
 
+    def test_record_q_computes_no_q_values(self, tmp_path, data_file, monkeypatch):
+        # the logistic outputs have no q column, so none may be computed
+        def refuse(*args):
+            raise AssertionError("q_metric called on a logistic run")
+
+        monkeypatch.setattr(sampler, "q_metric", refuse)
+        path = write_config(
+            tmp_path,
+            f"experiment = logistic\ndata = {data_file}\ntrain_fraction = 0.5\n"
+            "methods = sg, saga\nsteps = 20\nburn_in = 5\nstride = 5\n"
+            "chains = 1\nrecord_q = true\n",
+        )
+        config = load_config(path, {"out": str(tmp_path / "results")})
+        summary = run_logistic(config)
+        assert set(summary["methods"]) == {"sg", "saga"}
+
+    def test_ridge_zero_samples_without_a_step_bound(self, tmp_path, data_file):
+        path = write_config(
+            tmp_path,
+            f"experiment = logistic\ndata = {data_file}\ntrain_fraction = 0.5\n"
+            "methods = sg, saga\nsteps = 20\nburn_in = 5\nstride = 5\n"
+            "chains = 1\nridge = 0\n",
+        )
+        config = load_config(path, {"out": str(tmp_path / "results")})
+        summary = run_logistic(config)
+        assert summary["dataset"]["strong_convexity"] == 0.0
+        loaded = json.loads((tmp_path / "results" / "summary.json").read_text())
+        for method in ("sg", "saga"):
+            assert loaded["methods"][method]["advisory_step_bound"] is None
+            assert loaded["methods"][method]["step_over_bound"] is None
+        assert loaded["methods"]["saga"]["theta"] > 0.0
+
 
 class TestAdvisory:
     def test_bound_on_identity_conditioned_model(self):
@@ -429,6 +462,20 @@ class TestAdvisory:
         assert "0.1" in full_row.split()
         sg_row = next(line for line in lines if line.startswith("sg"))
         assert "n/a (unbounded variance)" in sg_row
+
+    def test_ridge_zero_prints_no_bound(self, tmp_path, capsys):
+        data = tmp_path / "toy.libsvm"
+        data.write_text("+1 1:0.5 2:-1\n-1 1:1.5\n+1 2:2\n-1 1:-0.5 2:0.25\n")
+        path = write_config(
+            tmp_path,
+            f"experiment = logistic\ndata = {data}\ntrain_fraction = 0.5\n"
+            "methods = sg, saga\nridge = 0\n",
+        )
+        assert main(["advisory", "--config", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith("condition number = inf")
+        saga_row = next(line for line in lines if line.startswith("saga"))
+        assert "n/a (m = 0)" in saga_row and saga_row.split()[-1] == "n/a"
 
 
 class TestMain:

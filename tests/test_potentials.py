@@ -255,6 +255,11 @@ class TestLogisticPotential:
         gram_top = np.linalg.eigvalsh(model.features.T @ model.features).max()
         np.testing.assert_allclose(model.smoothness, 1.3 + gram_top / 4.0, rtol=1e-8)
 
+    def test_condition_number_is_infinite_without_ridge(self):
+        assert random_logistic(8, ridge=0.0).condition_number == np.inf
+        model = random_logistic(8, ridge=0.5)
+        assert model.condition_number == model.smoothness / 0.5
+
     def test_negative_log_likelihood_by_hand(self):
         features = np.array([[1.0, 0.0], [0.0, 2.0]])
         labels = np.array([1.0, -1.0])
