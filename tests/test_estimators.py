@@ -99,6 +99,23 @@ class TestDraws:
             np.testing.assert_equal(got, want)
         assert block_rng.bit_generator.state == call_rng.bit_generator.state
 
+    @pytest.mark.parametrize("kind", ("full", "sg", "saga", "sarge"))
+    def test_full_batch_draws_take_nothing_from_the_generator(self, kind):
+        model = quadratic(20, n=6)
+        est = make_estimator(kind, model, np.zeros(model.dimension), batch_size=6)
+        rng = np.random.default_rng(21)
+        before = rng.bit_generator.state
+        assert len(est.draw(rng, 256)) == 256
+        assert rng.bit_generator.state == before
+
+    def test_full_adds_n_queries_per_estimate(self):
+        model = quadratic(22, n=6)
+        est = make_estimator("full", model, np.zeros(model.dimension))
+        x = np.ones(model.dimension)
+        for calls, draw in enumerate(est.draw(np.random.default_rng(23), 5), start=1):
+            est.estimate(x, draw)
+            assert est.query_count == 6 * calls
+
 
 class TestQueryAccounting:
     def test_initialization_costs(self):

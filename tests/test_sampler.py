@@ -241,6 +241,31 @@ class TestRunChain:
         assert err.value.delta == pytest.approx(2.0 * 1.0 * 40.0)
 
 
+class TestTailFit:
+    """final_mean and final_cov are the Gaussian fit of the post-burn-in rows."""
+
+    @pytest.mark.parametrize("stride", (1, 3, 10))
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_matches_from_samples_bit_for_bit(self, kind, stride):
+        model = small_model(seed=9, d=7)
+        config = SamplerConfig(
+            n_steps=300, step=0.1, estimator=kind, batch_size=2,
+            burn_in=40, record_stride=stride, seed=13,
+        )
+        record = run_chain(config, model)
+        fit = GaussianSummary.from_samples(
+            record.positions[record.iterations >= config.burn_in]
+        )
+        assert record.final_mean.tobytes() == fit.mean.tobytes()
+        assert record.final_cov.tobytes() == fit.cov.tobytes()
+
+    def test_one_row_tail_keeps_its_row_and_no_covariance(self):
+        config = SamplerConfig(n_steps=10, step=0.1, burn_in=9, record_stride=3)
+        record = run_chain(config, small_model())
+        assert record.final_mean.tobytes() == record.positions[-1].tobytes()
+        assert record.final_cov is None
+
+
 class TestRunEnsemble:
     def test_aggregates_are_across_chain_means(self):
         model = small_model(seed=8)
