@@ -62,7 +62,7 @@ class ExperimentConfig:
     experiment: str = "synthetic"
     seed: int = 0
     out: str = "results"
-    methods: tuple = ("full", "sg", "svrg", "saga", "sarah", "sarge")
+    methods: tuple = ESTIMATOR_KINDS
     batch: int = 1
     epoch: int | None = None
     step: float = 0.1
@@ -157,7 +157,6 @@ def load_config(path=None, overrides=None):
     over the file (this is how command-line flags are applied). Unknown
     keys and malformed lines are errors.
     """
-    known = {entry.name for entry in fields(ExperimentConfig)}
     settings = {}
     method_overrides = {}
     if path is not None:
@@ -176,7 +175,7 @@ def load_config(path=None, overrides=None):
                 if sub not in _METHOD_KEYS:
                     raise ValueError(f"{path}:{lineno}: unsupported override {key!r}")
                 store, name = method_overrides.setdefault(method, {}), sub
-            elif key in known:
+            elif key in _KEY_TYPES:
                 store, name = settings, key
             else:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
@@ -269,8 +268,8 @@ def _advisory(model, sampler_config):
     return descriptor, cap / (10.0 * model.condition_number * model.smoothness)
 
 
-def _method_summary(model, sampler_config, ensemble):
-    descriptor, bound = _advisory(model, sampler_config)
+def _method_summary(model, sampler_config, advisory, ensemble):
+    descriptor, bound = advisory
     summary = {
         "estimator": sampler_config.estimator,
         "batch_size": sampler_config.batch_size,
@@ -319,6 +318,19 @@ def _peak_rss_mb():
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+def _resolve_methods(config, model, record_q=False):
+    """(method, SamplerConfig, advisory) of every method, all built before
+    any samples, so a bad setting fails first and the error names its method."""
+    resolved = []
+    for method in config.methods:
+        try:
+            sampler_config = replace(config.sampler_config(method), record_q=record_q)
+            resolved.append((method, sampler_config, _advisory(model, sampler_config)))
+        except ValueError as err:
+            raise ValueError(f"{method}: {err}") from None
+    return resolved
+
+
 def _run_methods(config, model, record_q):
     """Run each configured method's ensemble; yield (method, ensemble, entry).
 
@@ -326,11 +338,10 @@ def _run_methods(config, model, record_q):
     record_q asks the chains for q values (O(N d) per recorded row); only
     a driver that writes them passes config.record_q.
     """
-    for method in config.methods:
-        sampler_config = replace(config.sampler_config(method), record_q=record_q)
+    for method, sampler_config, advisory in _resolve_methods(config, model, record_q):
         ensemble = run_ensemble(sampler_config, model)
         _report_timing(method, sampler_config.n_steps, ensemble)
-        yield method, ensemble, _method_summary(model, sampler_config, ensemble)
+        yield method, ensemble, _method_summary(model, sampler_config, advisory, ensemble)
 
 
 def _write(out_dir, name, text):
@@ -494,9 +505,7 @@ def print_advisory(config, stream=None):
     stream = stream or sys.stdout
     model, _ = _build_model(config, config.experiment)
     rows = [["method", "theta", "step_bound", "configured_step", "step_over_bound"]]
-    for method in config.methods:
-        sampler_config = config.sampler_config(method)
-        descriptor, bound = _advisory(model, sampler_config)
+    for method, sampler_config, (descriptor, bound) in _resolve_methods(config, model):
         theta, step = f"{descriptor.theta:.6g}", f"{sampler_config.step:.6g}"
         if bound is None:
             why = "unbounded variance" if not descriptor.bounded else "m = 0"

@@ -4,7 +4,7 @@ Each estimator consumes component gradients of a finite-sum potential and
 produces a (possibly biased) estimate of the full gradient, maintaining
 whatever per-chain memory its recursion needs:
 
-    full   exact gradient, N component queries per call
+    full   exact gradient, N component queries per call: sg at b = N
     sg     plain minibatch (N/b) sum_{i in B} grad f_i(x), b queries
     svrg   minibatch control variate against a snapshot refreshed with
            probability 1/p per call
@@ -27,8 +27,9 @@ mseb_descriptor returns the constants.
 Randomness contract: an estimator touches a generator only in
 draw(rng, steps), which returns the draws of its next `steps` estimate
 calls, one per call: the restart coin first (svrg and sarah, drawn only
-when epoch_length > 1), then the batch (none on a sarah restart, and no
-random draw at b = N). estimate(x, draw) is the update and draws
+when epoch_length > 1), then the batch (None on a sarah restart, and the
+full index set, drawn from nothing, at b = N). estimate(x, draw) is the
+update and draws
 nothing, so a block of draws taken ahead holds exactly what the same
 calls would draw one at a time; sampler.run_chain takes one block per
 block of steps for every kind.
@@ -44,7 +45,6 @@ import numpy as np
 __all__ = [
     "ESTIMATOR_KINDS",
     "GradientEstimator",
-    "FullGradient",
     "MinibatchGradient",
     "SvrgEstimator",
     "SagaEstimator",
@@ -64,17 +64,19 @@ ESTIMATOR_KINDS = ("full", "sg", "svrg", "saga", "sarah", "sarge")
 _RESUM_INTERVAL = 10_000
 
 
+def _check_batch_size(n, b):
+    if not 1 <= b <= n:
+        raise ValueError(f"batch_size must be in [1, {n}], got {b}")
+
+
 def sample_batch(rng, n_components, batch_size):
     """Uniform batch of distinct component indices.
 
     batch_size == n_components returns the full index set without
     consuming random draws, so full-batch runs stay aligned with
-    full-gradient runs that share a noise stream.
+    full-gradient runs (sg at b = N) that share a noise stream.
     """
-    if not 1 <= batch_size <= n_components:
-        raise ValueError(
-            f"batch_size must be in [1, {n_components}], got {batch_size}"
-        )
+    _check_batch_size(n_components, batch_size)
     if batch_size == n_components:
         return np.arange(n_components)
     if batch_size == 1:
@@ -94,9 +96,7 @@ class GradientEstimator:
     kind = "base"
 
     def __init__(self, model, batch_size=1):
-        n = model.n_components
-        if not 1 <= batch_size <= n:
-            raise ValueError(f"batch_size must be in [1, {n}], got {batch_size}")
+        _check_batch_size(model.n_components, batch_size)
         self.model = model
         self.batch_size = int(batch_size)
         self.query_count = 0
@@ -106,10 +106,13 @@ class GradientEstimator:
 
         Singleton batches from N > 1 components come from one integers(0,
         N, size=(steps, 1)) call, which yields exactly the indices `steps`
-        successive sample_batch calls on the same generator would.
+        successive sample_batch calls on the same generator would. At
+        b = N all steps share one index set (estimate only reads it).
         """
         n, b = self.model.n_components, self.batch_size
-        if b == 1 < n:
+        if b == n:
+            return [np.arange(n)] * steps
+        if b == 1:
             return rng.integers(0, n, size=(steps, 1))
         return [sample_batch(rng, n, b) for _ in range(steps)]
 
@@ -122,22 +125,6 @@ class GradientEstimator:
         # exact gradient; routing through gradient_full makes the collapse
         # bit-for-bit rather than merely up to summation order
         return self.batch_size == self.model.n_components
-
-
-class FullGradient(GradientEstimator):
-    """Exact full gradient; the baseline every estimator collapses to."""
-
-    kind = "full"
-
-    def __init__(self, model, batch_size=None):
-        super().__init__(model, batch_size=model.n_components)
-
-    def draw(self, rng, steps):
-        return [None] * steps
-
-    def estimate(self, x, draw):
-        self.query_count += self.model.n_components
-        return self.model.gradient_full(x)
 
 
 class MinibatchGradient(GradientEstimator):
@@ -367,7 +354,8 @@ def make_estimator(kind, model, x0, batch_size=1, epoch_length=None):
     kind = kind.lower()
     x0 = model._check_point(x0)
     if kind == "full":
-        return FullGradient(model)
+        # the exact gradient is the minibatch estimator at b = N
+        return MinibatchGradient(model, batch_size=model.n_components)
     if kind == "sg":
         return MinibatchGradient(model, batch_size=batch_size)
     if kind == "svrg":
@@ -435,8 +423,7 @@ def mseb_descriptor(kind, n_components, batch_size=1, epoch_length=None):
     kind = kind.lower()
     n = int(n_components)
     b = int(batch_size)
-    if not 1 <= b <= n:
-        raise ValueError(f"batch_size must be in [1, {n}], got {b}")
+    _check_batch_size(n, b)
     if kind == "full":
         return MsebDescriptor(kind, m1=0.0, m2=0.0, rho_m=1.0, rho_f=1.0, rho_b=1.0)
     if kind == "sg":

@@ -21,6 +21,10 @@ __all__ = [
     "softplus",
 ]
 
+# mean and variance of QuadraticPotential.random's anchor coordinates
+_ANCHOR_MEAN = 2.0
+_ANCHOR_VARIANCE = 2.0
+
 
 def sigmoid(t):
     """Logistic function, evaluated without overflow for large |t|."""
@@ -170,12 +174,10 @@ class QuadraticPotential(PotentialModel):
         max_eigenvalue=10.0,
         min_eigenvalue=1.0,
         seed=0,
-        anchor_mean=2.0,
-        anchor_variance=2.0,
     ):
         """Draw a random instance with a controlled precision spectrum.
 
-        Anchors are sampled i.i.d. from N(anchor_mean, anchor_variance * I).
+        Anchors are sampled i.i.d. from N(_ANCHOR_MEAN, _ANCHOR_VARIANCE * I).
         The precision matrix has a random orthogonal eigenbasis; its
         spectrum is pinned to [min_eigenvalue, max_eigenvalue] at the
         endpoints with any interior eigenvalues drawn log-uniformly in
@@ -184,7 +186,7 @@ class QuadraticPotential(PotentialModel):
         if not 0.0 < min_eigenvalue <= max_eigenvalue:
             raise ValueError("need 0 < min_eigenvalue <= max_eigenvalue")
         rng = np.random.default_rng(seed)
-        data = anchor_mean + np.sqrt(anchor_variance) * rng.standard_normal(
+        data = _ANCHOR_MEAN + np.sqrt(_ANCHOR_VARIANCE) * rng.standard_normal(
             (n_components, dimension)
         )
         if dimension == 1:

@@ -248,20 +248,16 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
 
     iterations = np.arange(n_rows, dtype=np.int64) * stride
     tail = iterations >= config.burn_in
-    if tail.any():
+    tail_positions = positions[tail]
+    n_tail = tail_positions.shape[0]
+    mean_potential, final_mean, final_cov = float(np.nan), np.full(d, np.nan), None
+    if n_tail:
         # the last running mean; np.sum would add in another order
-        mean_potential = float(np.cumsum(potentials[tail])[-1] / int(tail.sum()))
-        tail_positions = positions[tail]
-        final_mean = tail_positions.mean(axis=0)
-        if tail_positions.shape[0] >= 2:
-            centered = tail_positions - final_mean
-            final_cov = centered.T @ centered / (tail_positions.shape[0] - 1)
-        else:
-            final_cov = None
-    else:
-        mean_potential = float(np.nan)
-        final_mean = np.full(d, np.nan)
-        final_cov = None
+        mean_potential = float(np.cumsum(potentials[tail])[-1] / n_tail)
+        final_mean = tail_positions[0]
+    if n_tail >= 2:
+        fit = GaussianSummary.from_samples(tail_positions)
+        final_mean, final_cov = fit.mean, fit.cov
 
     return RunRecord(
         chain_id=chain_id,

@@ -29,9 +29,7 @@ def conditional_mean_oracle(estimator, model, x_next):
     x_next = model._check_point(x_next)
     batches = [np.array(c) for c in itertools.combinations(range(n), b)]
     outcomes = [(batch, 1.0 / n_batches) for batch in batches]
-    if estimator.kind == "full":
-        outcomes = [(None, 1.0)]
-    elif estimator.kind in ("svrg", "sarah"):
+    if estimator.kind in ("svrg", "sarah"):
         p = 1.0 / estimator.epoch_length
         kept = [(batch, (1.0 - p) / n_batches) for batch in batches]
         if estimator.kind == "sarah":

@@ -478,6 +478,44 @@ class TestAdvisory:
         assert "n/a (m = 0)" in saga_row and saga_row.split()[-1] == "n/a"
 
 
+# N = 50 components; every method but the one a case names is valid
+FIFTY_COMPONENTS = """
+methods = full, sg, saga, sarge
+n_components = 50
+dimension = 2
+steps = 120
+burn_in = 100
+stride = 10
+chains = 1
+step = 0.05
+"""
+
+BAD_METHOD_CASES = [
+    ("sarge", "sarge.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
+    ("sarge", "sarge.steps = 50", "burn_in must be smaller than n_steps"),
+    ("full", "full.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
+]
+
+
+class TestFailBeforeSampling:
+    @pytest.mark.parametrize(
+        "method,line,reason", BAD_METHOD_CASES,
+        ids=("sarge-batch", "sarge-steps", "full-batch"),
+    )
+    def test_bad_method_setting_fails_naming_the_method(
+        self, tmp_path, capsys, method, line, reason
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, FIFTY_COMPONENTS + line + "\n")
+        config = load_config(path, {"out": str(out)})
+        with pytest.raises(ValueError, match=f"^{method}: {reason}$"):
+            run_synthetic(config)
+        assert not out.exists()
+        assert capsys.readouterr().err == ""  # no method sampled
+        with pytest.raises(ValueError, match=f"^{method}: {reason}$"):
+            print_advisory(config, io.StringIO())
+
+
 class TestMain:
     def test_estimator_flag_narrows_methods(self, tmp_path, capsys):
         config_path = write_config(tmp_path, TINY_SYNTHETIC)

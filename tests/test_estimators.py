@@ -16,7 +16,6 @@ import pytest
 from vrhmc.estimators import (
     _RESUM_INTERVAL,
     ESTIMATOR_KINDS,
-    FullGradient,
     make_estimator,
     mseb_descriptor,
     q_metric,
@@ -170,8 +169,9 @@ class TestFullBatchCollapse:
         x0 = np.zeros(model.dimension)
         rng_path = np.random.default_rng(6)
         path = [x0 + 0.3 * rng_path.standard_normal(model.dimension) for _ in range(10)]
-        reference = FullGradient(model)
-        wanted = [reference.estimate(x, None) for x in path]
+        reference = make_estimator("full", model, x0)
+        draws = reference.draw(np.random.default_rng(7), len(path))
+        wanted = [reference.estimate(x, draw) for x, draw in zip(path, draws)]
         for kind in ESTIMATOR_KINDS:
             est = make_estimator(kind, model, x0, batch_size=6, epoch_length=1)
             rng = np.random.default_rng(7)
