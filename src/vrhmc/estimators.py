@@ -29,10 +29,9 @@ draw(rng, steps), which returns the draws of its next `steps` estimate
 calls, one per call: the restart coin first (svrg and sarah, drawn only
 when epoch_length > 1), then the batch (None on a sarah restart, and the
 full index set, drawn from nothing, at b = N). estimate(x, draw) is the
-update and draws
-nothing, so a block of draws taken ahead holds exactly what the same
-calls would draw one at a time; sampler.run_chain takes one block per
-block of steps for every kind.
+update and draws nothing, so a block of draws taken ahead holds exactly
+what the same calls would draw one at a time; sampler.run_chain takes one
+block per block of steps for every kind.
 """
 
 from __future__ import annotations
