@@ -65,6 +65,19 @@ class TestSampleBatch:
             freq = float(np.mean(draws == i))
             assert 0.313 <= freq <= 0.353, f"index {i} frequency {freq}"
 
+    @pytest.mark.parametrize(
+        "n", (2, 7, 1000, 2**31 + 11, 2**32 + 5, 2**33, 2**62)
+    )
+    def test_singleton_batch_is_a_size_one_draw(self, n):
+        # interleaved with restart coins, as svrg and sarah draw them
+        rng, twin = np.random.default_rng(n % 997), np.random.default_rng(n % 997)
+        for _ in range(500):
+            assert rng.random() == twin.random()
+            got, want = sample_batch(rng, n, 1), twin.integers(0, n, size=1)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_intermediate_batches_are_distinct_and_in_range(self):
         rng = np.random.default_rng(2)
         for _ in range(200):

@@ -193,6 +193,32 @@ class TestQuadraticPotential:
             model.gradient_component(-1, np.zeros(model.dimension))
 
 
+class TestQuadraticProductBits:
+    """The quadratic target's d x d products against their @ expressions."""
+
+    @pytest.mark.parametrize("d", (1, 2, 5, 20))
+    def test_match_matmul_expressions_bitwise(self, d):
+        model = random_quadratic(d, n=9, d=d)
+        precision, n = model.precision, model.n_components
+        buffer = 3.0 * np.random.default_rng(d).standard_normal((3, 2 * d))
+        points = {
+            "contiguous": buffer[0, :d].copy(),
+            "row view": buffer[1, d:],
+            "strided": buffer[2, ::2],
+        }
+        batches = (np.array([4]), np.array([7, 0, 3]))
+        for name, x in points.items():
+            for batch in batches:
+                want = (x - model.data[batch]) @ precision * (2.0 / n)
+                got = model.gradient_batch(batch, x)
+                assert got.tobytes() == want.tobytes(), (name, batch)
+            r = x - model._anchor_mean
+            want = 2.0 * (precision @ r)
+            assert model.gradient_full(x).tobytes() == want.tobytes(), name
+            want = float(r @ precision @ r) + model._potential_offset
+            assert model.potential_full(x) == want, name
+
+
 class TestLogisticPotential:
     def test_gradients_match_finite_differences(self):
         model = random_logistic(0)

@@ -337,6 +337,29 @@ class DelegatingTarget(PotentialModel):
         return self.inner.potential_full(x)
 
 
+class KeepingTarget(DelegatingTarget):
+    """A custom target that keeps every point it is handed, with a copy."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.kept = []
+
+    def _keep(self, x):
+        self.kept.append((x, np.array(x, copy=True)))
+
+    def gradient_batch(self, indices, x):
+        self._keep(x)
+        return super().gradient_batch(indices, x)
+
+    def gradient_full(self, x):
+        self._keep(x)
+        return super().gradient_full(x)
+
+    def potential_full(self, x):
+        self._keep(x)
+        return super().potential_full(x)
+
+
 def small_logistic(seed=0, n=20, d=3):
     rng = np.random.default_rng(seed)
     features = rng.standard_normal((n, d))
@@ -377,6 +400,28 @@ class TestCustomTarget:
             assert (want is None) == (got is None), entry.name
             if want is not None:
                 np.testing.assert_array_equal(got, want, err_msg=entry.name)
+
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_points_handed_to_the_target_are_never_written(self, kind):
+        target = KeepingTarget(small_model(seed=5, d=3))
+        config = SamplerConfig(
+            n_steps=200,
+            step=0.05,
+            estimator=kind,
+            epoch_length=4,
+            burn_in=20,
+            record_stride=3,
+            seed=8,
+            x0=np.linspace(-0.5, 0.5, 3),
+            diagnostics=True,
+            record_q=True,
+            record_velocity=True,
+        )
+        run_chain(config, target)
+        assert len(target.kept) > 200
+        for x, copy in target.kept:
+            np.testing.assert_array_equal(x, copy)
 
 
 class TestWassersteinTracker:
