@@ -145,9 +145,17 @@ def _reader(annotation):
     return lambda value: None if str(value).lower() in ("", "none", "default") else read(value)
 
 
+def _read_label_map(text):
+    # dataio.parse_libsvm also takes a dict, which no config line can spell
+    if text != "auto":
+        raise ValueError("the only supported label map is 'auto'")
+    return text
+
+
 # every ExperimentConfig key -> its reader, which sampler_config also
 # applies to the values it passes on
 _KEY_TYPES = {entry.name: _reader(entry.type) for entry in fields(ExperimentConfig)}
+_KEY_TYPES["label_map"] = _read_label_map
 
 
 def load_config(path=None, overrides=None):

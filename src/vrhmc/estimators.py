@@ -79,7 +79,8 @@ def sample_batch(rng, n_components, batch_size):
     if batch_size == n_components:
         return np.arange(n_components)
     if batch_size == 1:
-        return rng.integers(0, n_components, size=1)
+        # the scalar draw takes the value size=1 would, minus its array-size work
+        return np.array([rng.integers(0, n_components)])
     return rng.choice(n_components, size=batch_size, replace=False)
 
 

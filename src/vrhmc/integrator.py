@@ -212,11 +212,29 @@ def sample_noise(coeffs: NoiseCoefficients, dimension, rng, steps):
     return z
 
 
-def _advance(x, v, gradient, coeffs, e_x, e_v):
-    """One step with the gradient held fixed; the update run_chain applies."""
-    x_next = x + coeffs.c_xv * v - coeffs.c_xg * gradient + e_x
-    v_next = coeffs.c_vv * v - coeffs.c_vg * gradient + e_v
-    return x_next, v_next
+def _step_columns(coeffs: NoiseCoefficients):
+    """The (2, 1) columns [c_xv; c_vv] and [c_xg; c_vg] that _advance takes."""
+    return (
+        np.array([[coeffs.c_xv], [coeffs.c_vv]]),
+        np.array([[coeffs.c_xg], [coeffs.c_vg]]),
+    )
+
+
+def _advance(state, gradient, columns, noise):
+    """One step of the (2, d) state [x; v] with the gradient held fixed.
+
+    This is the update run_chain applies. columns comes from
+    _step_columns and noise is a (2, d) row [e_x; e_v] of sample_noise,
+    or 0.0. The result is a new (2, d) array; state is not written. Each
+    element gets the roundings of x + c_xv v - c_xg g + e_x and
+    c_vv v - c_vg g + e_v, because IEEE addition commutes exactly.
+    """
+    v_column, g_column = columns
+    advanced = v_column * state[1]
+    advanced[0] += state[0]
+    advanced -= g_column * gradient
+    advanced += noise
+    return advanced
 
 
 def stationary_covariance(coeffs: NoiseCoefficients, hessian):

@@ -214,13 +214,15 @@ class QuadraticPotential(PotentialModel):
         x = self._check_point(x)
         diffs = self.data.take(indices, axis=0)
         np.subtract(x, diffs, out=diffs)
-        rows = diffs @ self.precision
+        # d x d products use ndarray.dot: the BLAS call of @ without
+        # matmul's ufunc dispatch, which costs more than the flops at small d
+        rows = diffs.dot(self.precision)
         rows *= 2.0 / self.n_components
         return rows
 
     def gradient_full(self, x):
         x = self._check_point(x)
-        return 2.0 * (self.precision @ (x - self._anchor_mean))
+        return 2.0 * self.precision.dot(x - self._anchor_mean)
 
     def gradient_rows(self, points):
         # a stacked matrix-vector product runs the same BLAS gemv per row
@@ -239,7 +241,7 @@ class QuadraticPotential(PotentialModel):
         # centered closed form, O(d^2) instead of O(N d^2)
         x = self._check_point(x)
         r = x - self._anchor_mean
-        return float(r @ self.precision @ r) + self._potential_offset
+        return float(r.dot(self.precision).dot(r)) + self._potential_offset
 
     def target_moments(self):
         """Mean and covariance of the normalized density exp(-f)."""

@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimators import ESTIMATOR_KINDS, make_estimator, q_metric
-from .integrator import DynamicsParams, noise_coefficients, sample_noise, _advance
+from .integrator import (
+    DynamicsParams,
+    _advance,
+    _step_columns,
+    noise_coefficients,
+    sample_noise,
+)
 from .metrics import GaussianSummary, bures_w2
 
 __all__ = [
@@ -173,9 +179,11 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
     noise_rng = np.random.default_rng(noise_stream)
 
     coeffs = noise_coefficients(config.dynamics(model))
-    x = config.initial_point(model)
+    columns = _step_columns(coeffs)
     d = model.dimension
-    v = np.zeros(d)
+    state = np.zeros((2, d))  # [x; v]
+    state[0] = config.initial_point(model)
+    x = state[0]
     estimator = make_estimator(
         config.estimator,
         model,
@@ -214,23 +222,23 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
                 queries[row] = estimator.query_count
                 positions[row] = x
                 if velocities is not None:
-                    velocities[row] = v
+                    velocities[row] = state[1]
                 if estimates is not None:
                     estimates[row] = grad
-            x_prev = x
-            x, v = _advance(x, v, grad, coeffs, noise[i, 0], noise[i, 1])
+            state = _advance(state, grad, columns, noise[i])
             if recording:
                 if record_q:
-                    q_values[row] = q_metric(model, x_prev, x)
+                    q_values[row] = q_metric(model, x, state[0])
                 row += 1
-            norm_sq = x @ x
+            x = state[0]
+            norm_sq = x.dot(x)  # the BLAS dot of x @ x, without matmul dispatch
             if not norm_sq <= limit_sq:  # catches NaN as well as blowup
                 raise ChainDivergence(chain_id, k, coeffs.delta)
     if n_steps == 0:
         queries[0] = estimator.query_count
         positions[0] = x
         if velocities is not None:
-            velocities[0] = v
+            velocities[0] = state[1]
         if record_q:
             q_values[0] = np.nan
     potentials = np.fromiter(

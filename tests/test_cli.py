@@ -187,7 +187,7 @@ class TestLoadConfig:
             load_config(path)
 
     # one unreadable value per kind of reader: int, float, int | None,
-    # float | None, a per-method key, bool
+    # float | None, a per-method key, bool, label_map
     @pytest.mark.parametrize(
         "line",
         [
@@ -197,6 +197,7 @@ class TestLoadConfig:
             "xi = small",
             "svrg.epoch = ten",
             "diagnostics = maybe",
+            "label_map = zero_one",
         ],
     )
     def test_unreadable_value_reports_file_line_and_key(self, tmp_path, line):

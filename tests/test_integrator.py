@@ -11,6 +11,7 @@ import pytest
 from vrhmc.integrator import (
     DynamicsParams,
     _advance,
+    _step_columns,
     noise_coefficients,
     sample_noise,
     stationary_covariance,
@@ -173,7 +174,7 @@ class TestStep:
             x0, v0 = rng.standard_normal(d), rng.standard_normal(d)
             g = rng.standard_normal(d)
             coeffs = noise_coefficients(DynamicsParams(gamma, xi, h))
-            x, v = _advance(x0, v0, g, coeffs, 0.0, 0.0)
+            x, v = _advance(np.array([x0, v0]), g, _step_columns(coeffs), 0.0)
 
             def field(_, y):
                 x, v = y[:d], y[d:]
@@ -192,8 +193,9 @@ class TestStep:
         x0, v0, g = rng.standard_normal((3, 4))
         half = noise_coefficients(DynamicsParams(1.3, 0.7, 0.05))
         full = noise_coefficients(DynamicsParams(1.3, 0.7, 0.10))
-        x, v = _advance(*_advance(x0, v0, g, half, 0.0, 0.0), g, half, 0.0, 0.0)
-        direct_x, direct_v = _advance(x0, v0, g, full, 0.0, 0.0)
+        half, full = _step_columns(half), _step_columns(full)
+        x, v = _advance(_advance(np.array([x0, v0]), g, half, 0.0), g, half, 0.0)
+        direct_x, direct_v = _advance(np.array([x0, v0]), g, full, 0.0)
         np.testing.assert_allclose(x, direct_x, rtol=1e-13)
         np.testing.assert_allclose(v, direct_v, rtol=1e-13)
 
@@ -202,15 +204,34 @@ class TestStep:
         xi = 2.5
         coeffs = noise_coefficients(DynamicsParams(gamma=2.0, xi=xi, step=0.3))
         noise = sample_noise(coeffs, 8, np.random.default_rng(11), steps=40_000)
-        x = v = zero = np.zeros(8)
+        state, zero, columns = np.zeros((2, 8)), np.zeros(8), _step_columns(coeffs)
         samples = []
         for k in range(40_000):
-            x, v = _advance(x, v, zero, coeffs, noise[k, 0], noise[k, 1])
+            state = _advance(state, zero, columns, noise[k])
             if k >= 2_000:
-                samples.append(v)
+                samples.append(state[1])
         var = np.concatenate(samples).var()
         # generous band; correlated draws inflate the naive standard error
         np.testing.assert_allclose(var, 1.0 / xi, rtol=0.05)
+
+    @pytest.mark.parametrize("d", (1, 5, 112))
+    def test_stacked_update_matches_the_two_line_formula_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        coeffs = noise_coefficients(DynamicsParams(1.7, 0.6, 0.2))
+        c = coeffs
+        for _ in range(20):
+            state, g = rng.standard_normal((2, d)), rng.standard_normal(d)
+            x, v = state
+            for noise in (sample_noise(coeffs, d, rng, steps=1)[0], 0.0):
+                e_x, e_v = (noise, noise) if np.isscalar(noise) else noise
+                want = np.array([
+                    x + c.c_xv * v - c.c_xg * g + e_x,
+                    c.c_vv * v - c.c_vg * g + e_v,
+                ])
+                before = state.copy()
+                got = _advance(state, g, _step_columns(coeffs), noise)
+                assert got.tobytes() == want.tobytes()
+                assert state.tobytes() == before.tobytes()
 
     def test_sample_noise_consumes_one_block(self):
         coeffs = noise_coefficients(DynamicsParams(2.0, 1.0, 0.1))
