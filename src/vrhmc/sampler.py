@@ -14,6 +14,11 @@ for the estimator's draws, each handed to estimate(x, draw) in turn. Both
 blocks hold exactly the draws the same steps would make one at a time,
 so trajectories are bit-identical to a per-step loop.
 
+The chain state is one (2, d) array [x; v], stepped by
+integrator._advance with the block's (2, d) noise row. Each step makes
+a new state array, so the row x that estimate and the target are handed
+is never written afterwards.
+
 Recording stays cheap inside the loop: a recorded row stores the
 position, the query count and (with diagnostics) the estimate. After the
 loop the potentials are evaluated with one potential_full call per row,

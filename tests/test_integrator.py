@@ -217,19 +217,18 @@ class TestStep:
     @pytest.mark.parametrize("d", (1, 5, 112))
     def test_stacked_update_matches_the_two_line_formula_bitwise(self, d):
         rng = np.random.default_rng(d)
-        coeffs = noise_coefficients(DynamicsParams(1.7, 0.6, 0.2))
-        c = coeffs
+        c = noise_coefficients(DynamicsParams(1.7, 0.6, 0.2))
         for _ in range(20):
             state, g = rng.standard_normal((2, d)), rng.standard_normal(d)
             x, v = state
-            for noise in (sample_noise(coeffs, d, rng, steps=1)[0], 0.0):
+            for noise in (sample_noise(c, d, rng, steps=1)[0], 0.0):
                 e_x, e_v = (noise, noise) if np.isscalar(noise) else noise
                 want = np.array([
                     x + c.c_xv * v - c.c_xg * g + e_x,
                     c.c_vv * v - c.c_vg * g + e_v,
                 ])
                 before = state.copy()
-                got = _advance(state, g, _step_columns(coeffs), noise)
+                got = _advance(state, g, _step_columns(c), noise)
                 assert got.tobytes() == want.tobytes()
                 assert state.tobytes() == before.tobytes()
 

@@ -401,7 +401,6 @@ class TestCustomTarget:
             if want is not None:
                 np.testing.assert_array_equal(got, want, err_msg=entry.name)
 
-
     @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
     def test_points_handed_to_the_target_are_never_written(self, kind):
         target = KeepingTarget(small_model(seed=5, d=3))
