@@ -1,16 +1,21 @@
 """Tests for LIBSVM parsing, emission, splitting, and standardization."""
 
+import io
+
 import numpy as np
 import pytest
 
 from vrhmc.dataio import (
     Dataset,
     LibsvmFormatError,
+    _map_labels,
     emit_libsvm,
     parse_libsvm,
     standardize,
     train_test_split,
 )
+
+import oracles
 
 
 def random_dataset(rng, n_rows, n_features, density=0.6):
@@ -109,6 +114,280 @@ class TestParse:
     def test_blank_lines_are_skipped(self):
         data = parse_libsvm(["+1 1:1.0", "", "-1 1:2.0", "   "])
         assert data.n_rows == 2
+
+
+SOURCE_KINDS = ("path", "text handle", "lines", "lines with ends")
+
+
+def as_source(kind, text, tmp_path):
+    """The document text as one of the source kinds parse_libsvm takes."""
+    if kind == "path":
+        path = tmp_path / "document.libsvm"
+        path.write_bytes(text.encode("ascii"))
+        return path
+    if kind == "text handle":
+        return io.StringIO(text)
+    if kind == "lines":
+        return text.splitlines()
+    return text.splitlines(keepends=True)
+
+
+def outcome(parse, source, **kwargs):
+    """The Dataset's exact bits, or the exception type and message."""
+    try:
+        data = parse(source, **kwargs)
+    except Exception as err:  # the exception itself is the outcome compared
+        return type(err), str(err)
+    return tuple(
+        (array.dtype.str, array.shape, array.tobytes())
+        for array in (data.labels, data.features)
+    )
+
+
+def assert_matches_reference(text, tmp_path, **kwargs):
+    """parse_libsvm agrees with the per-token reference on every source kind."""
+    results = []
+    for kind in SOURCE_KINDS:
+        want = outcome(oracles.parse_libsvm, as_source(kind, text, tmp_path), **kwargs)
+        got = outcome(parse_libsvm, as_source(kind, text, tmp_path), **kwargs)
+        assert got == want, f"{kind} source of {text!r} ({kwargs})"
+        results.append(got)
+    return results[0]
+
+
+# token mutations the fuzz draws from; none holds "_" or a byte outside
+# printable ASCII, tabs, CRs and LFs
+_VALUE_TEXTS = (
+    "inf", "-inf", "+Infinity", "nan", "-nan", "NaN", "nan(1)", "1e", "1e400",
+    "1e-400", "-0", ".5", "5.", "+.5e-3", "1E+2", "--1", "1.2.3", "e5", ".", "x",
+)
+_INDEX_TEXTS = ("0", "-3", "3.0", "3e0", "+3", "007", "-0", "x", "1e3")
+# no "nan" label: the reference lists the labels of an unknown convention in
+# set order, which for a NaN varies from run to run
+_LABEL_TEXTS = (
+    "spam", "inf", "1e", "2", "0", ".5", "+1", "-1.0", "1:1", "nan(1)", "+",
+)
+
+
+def _split_feature(token):
+    index, _, value = token.partition(":")
+    return index, value
+
+
+def _mutate(rng, lines):
+    """Apply one random mutation in place to a list of token lists."""
+    rows = [k for k, tokens in enumerate(lines) if tokens]
+    op = int(rng.integers(11))
+    if op == 10 and rows:
+        lines[int(rng.choice(rows))] = []
+        return
+    if op >= 8 or not rows:
+        blank = str(rng.choice(["", " ", "\t", " \t  "]))
+        lines.insert(int(rng.integers(len(lines) + 1)), [blank] if blank else [])
+        return
+    tokens = lines[int(rng.choice(rows))]
+    k = int(rng.integers(len(tokens)))
+    features = range(1, len(tokens))
+    if op == 0:
+        del tokens[k]
+    elif op == 1:
+        tokens.insert(int(rng.integers(len(tokens) + 1)), tokens[k])
+    elif op == 2:
+        j = int(rng.integers(len(tokens)))
+        tokens[j], tokens[k] = tokens[k], tokens[j]
+    elif op == 7 or not features:
+        tokens[0] = str(rng.choice(_LABEL_TEXTS + ("+" + tokens[0], "-" + tokens[0])))
+    else:
+        k = int(rng.choice(features))
+        index, value = _split_feature(tokens[k])
+        if op == 3:
+            tokens[k] = str(rng.choice([
+                f"{index}::{value}", f"{index}:{value}:{value}", f"{index}{value}",
+                f":{value}", f"{index}:", ":", index,
+            ]))
+        elif op == 4:
+            sign = str(rng.choice(["+", "-"]))
+            tokens[k] = str(rng.choice([f"{sign}{index}:{value}", f"{index}:{sign}{value}"]))
+        elif op == 5:
+            tokens[k] = f"{index}:{rng.choice(_VALUE_TEXTS)}"
+        elif op == 6:
+            tokens[k] = f"{rng.choice(_INDEX_TEXTS)}:{value}"
+        else:
+            tokens[k] = f"{index}:{value}".replace(":", ":" + str(rng.choice(["", "0", "-"])), 1)
+
+
+def _render(rng, lines):
+    """Join token lists with random whitespace and line endings."""
+    endings = ["\n"] * 3 + ["\r\n", "\r"]
+    gaps = [" "] * 6 + ["\t", "  ", " \t"]
+    out = []
+    for tokens in lines:
+        lead = str(rng.choice(["", "", "", " ", "\t"]))
+        trail = str(rng.choice(["", "", "", " ", "\t "]))
+        body = tokens[0] if tokens else ""
+        for token in tokens[1:]:
+            body += str(rng.choice(gaps)) + token
+        out.append(lead + body + trail + str(rng.choice(endings)))
+    text = "".join(out)
+    if rng.random() < 0.3:
+        text = text.rstrip("\r\n")
+    return text
+
+
+def fuzz_document(rng):
+    """An emitted random dataset with random label convention and mutations."""
+    dataset = random_dataset(
+        rng,
+        n_rows=int(rng.choice([1, 1, 2, 3, 4, 5, 6])),
+        n_features=int(rng.integers(1, 7)),
+        density=float(rng.uniform(0.2, 0.9)),
+    )
+    convention = {
+        0: {"-1": "-1", "1": "1"},
+        1: {"-1": "0", "1": "1"},
+        2: {"-1": "1", "1": "2"},
+    }[int(rng.integers(3))]
+    lines = []
+    for line in emit_libsvm(dataset).splitlines():
+        tokens = line.split()
+        tokens[0] = convention[tokens[0]]
+        lines.append(tokens)
+    for _ in range(int(rng.choice([0, 0, 1, 1, 2, 3]))):
+        _mutate(rng, lines)
+    n_features = [None, dataset.n_features, dataset.n_features + 2, 1][
+        int(rng.choice(4, p=[0.7, 0.1, 0.1, 0.1]))
+    ]
+    return _render(rng, lines), n_features
+
+
+class TestParseMatchesReference:
+    def test_seeded_fuzz(self, tmp_path):
+        rng = np.random.default_rng(20241019)
+        kinds = {}
+        for _ in range(400):
+            text, n_features = fuzz_document(rng)
+            assert "_" not in text
+            result = assert_matches_reference(text, tmp_path, n_features=n_features)
+            if isinstance(result[0], type):
+                kind = result[1].split(": ")[-1].split(" ")[0]
+            else:
+                kind = "parsed"
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # the fuzz must reach valid documents and every error kind
+        for kind in ("parsed", "unreadable", "malformed", "index", "non-finite",
+                     "no", "labels"):
+            assert kinds.get(kind, 0) >= 3, sorted(kinds.items())
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1:1\r\n\r\n-1 x:1\r\n",
+            "1 1:1\r\r-1 1:1 x\r",
+            "1 1:1\n\r\n  \t\n-1 1:1 2:nan\n",
+            "\t1\t1:1 \t2:2\t\r\n\n-1 2:1",
+            "1 1:2\n-1 2:3",
+            "\r\n\r\n\n",
+        ],
+    )
+    def test_line_endings_and_blank_lines(self, text, tmp_path):
+        assert_matches_reference(text, tmp_path)
+
+
+def _parse_message(text, tmp_path, kind, **kwargs):
+    result = outcome(parse_libsvm, as_source(kind, text, tmp_path), **kwargs)
+    assert isinstance(result[0], type), f"{text!r} parsed"
+    return result
+
+
+@pytest.mark.parametrize("kind", SOURCE_KINDS)
+class TestExactErrors:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("+1 1:1.0\nspam 1:2.0\n", "line 2: unreadable label 'spam'"),
+            ("nan(1) 1:1\n", "line 1: unreadable label 'nan(1)'"),
+            ("1:1 2:1\n", "line 1: unreadable label '1:1'"),
+            ("+1 1:1.0 oops\n", "line 1, token 3: malformed feature 'oops'"),
+            ("+1 1::1\n", "line 1, token 2: malformed feature '1::1'"),
+            ("+1 1:1:1\n", "line 1, token 2: malformed feature '1:1:1'"),
+            ("+1 :1\n", "line 1, token 2: malformed feature ':1'"),
+            ("+1 1:\n", "line 1, token 2: malformed feature '1:'"),
+            ("+1 1:1e\n", "line 1, token 2: malformed feature '1:1e'"),
+            ("+1 1:nan(1)\n", "line 1, token 2: malformed feature '1:nan(1)'"),
+            ("+1 3.0:1\n", "line 1, token 2: malformed feature '3.0:1'"),
+            ("+1 3e0:1\n", "line 1, token 2: malformed feature '3e0:1'"),
+            ("+1 0:1.0\n", "line 1, token 2: index 0 is not 1-based"),
+            ("+1 -3:1.0\n", "line 1, token 2: index -3 is not 1-based"),
+            ("+1 2:1.0 2:2.0\n", "line 1, token 3: index 2 does not increase"),
+            ("+1 1:1.0\n\n-1 1:2.0 3:nan\n", "line 3, token 3: non-finite value '3:nan'"),
+            ("+1 1:-Infinity\n", "line 1, token 2: non-finite value '1:-Infinity'"),
+            ("+1 1:1e400\n", "line 1, token 2: non-finite value '1:1e400'"),
+            ("", "no data rows found"),
+            ("\n  \t\r\n\r", "no data rows found"),
+            (
+                "4 1:1.0\n5 1:2.0\n",
+                f"labels {sorted([np.float64(4.0), np.float64(5.0)])} match none of "
+                "the known conventions {-1,+1}, {0,1}, {1,2}",
+            ),
+            # precedence: a structural error anywhere beats a non-finite value
+            ("+1 1:inf\n-1 1:1 x\n", "line 2, token 3: malformed feature 'x'"),
+            # the first line with a structural error wins
+            ("+1 2:1 1:1\nspam\n", "line 1, token 3: index 1 does not increase"),
+            ("+1 1:1 2:1\n-1 0:1\nspam 1:1\n", "line 2, token 2: index 0 is not 1-based"),
+            # within a line, the first failing token wins
+            ("+1 1:1 oops 0:1\n", "line 1, token 3: malformed feature 'oops'"),
+            ("+1 0:1 oops\n", "line 1, token 2: index 0 is not 1-based"),
+            # line numbers count CRLF and lone CR as one break each
+            ("1 1:1\r\n\r\n-1 x:1\r\n", "line 3, token 2: malformed feature 'x:1'"),
+            ("1 1:1\r\r-1 1:1 x\r", "line 3, token 3: malformed feature 'x'"),
+            ("1 1:1\n\r\n  \t\n-1 1:1 2:nan\n", "line 4, token 3: non-finite value '2:nan'"),
+        ],
+    )
+    def test_format_errors(self, kind, text, message, tmp_path):
+        result = _parse_message(text, tmp_path, kind)
+        assert result == (LibsvmFormatError, message)
+        assert result == outcome(oracles.parse_libsvm, as_source(kind, text, tmp_path))
+
+    def test_non_finite_beats_n_features(self, kind, tmp_path):
+        result = _parse_message("+1 5:inf\n", tmp_path, kind, n_features=2)
+        assert result == (LibsvmFormatError, "line 1, token 2: non-finite value '5:inf'")
+
+    def test_n_features_beats_label_mapping(self, kind, tmp_path):
+        result = _parse_message("4 5:1\n", tmp_path, kind, n_features=2)
+        assert result == (
+            ValueError,
+            "n_features=2 is smaller than the observed maximum index (5)",
+        )
+
+    def test_label_map_messages(self, kind, tmp_path):
+        result = _parse_message("7 1:1\n8 1:2\n", tmp_path, kind, label_map={7: -1})
+        assert result == (
+            LibsvmFormatError,
+            f"row 1: label {np.float64(8.0)!r} not covered by the label map",
+        )
+        result = _parse_message("7 1:1\n", tmp_path, kind, label_map={7: 3})
+        assert result == (LibsvmFormatError, "label map must produce values in {-1, +1}")
+
+    def test_signed_index_is_accepted(self, kind, tmp_path):
+        data = parse_libsvm(as_source(kind, "+1 +3:1 +4:-2.5\n", tmp_path))
+        np.testing.assert_array_equal(data.features, [[0.0, 0.0, 1.0, -2.5]])
+
+
+class TestOrderPreservingLabels:
+    @pytest.mark.parametrize("low, high", [(0.0, 1.0), (1.0, 2.0)])
+    def test_smaller_label_becomes_minus_one(self, low, high):
+        raw = np.array([high, low, low, high, high, low])
+        mapped = _map_labels(raw, "auto")
+        assert mapped.dtype == np.float64 and mapped.shape == (6,)
+        np.testing.assert_array_equal(mapped, [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
+        assert mapped.tobytes() == oracles._map_labels(raw, "auto").tobytes()
+
+    @pytest.mark.parametrize("value, want", [(0.0, -1.0), (1.0, 1.0), (2.0, 1.0)])
+    def test_one_class_documents(self, value, want):
+        # a lone 1 reads as the {-1, +1} convention, which is tried first
+        mapped = _map_labels(np.full(3, value), "auto")
+        assert mapped.dtype == np.float64 and mapped.shape == (3,)
+        np.testing.assert_array_equal(mapped, np.full(3, want))
 
 
 class TestRoundTrip:
