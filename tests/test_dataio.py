@@ -1,6 +1,8 @@
 """Tests for LIBSVM parsing, emission, splitting, and standardization."""
 
+import bz2
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -291,6 +293,130 @@ class TestParseMatchesReference:
     )
     def test_line_endings_and_blank_lines(self, text, tmp_path):
         assert_matches_reference(text, tmp_path)
+
+
+    def test_every_short_token(self):
+        # every token of up to three characters from the number alphabet,
+        # as a label, an index, a value and a whole feature token
+        alphabet = "0+-.eEinf:x("
+        for size in (1, 2, 3):
+            for chars in itertools.product(alphabet, repeat=size):
+                token = "".join(chars)
+                for line in (f"{token} 1:1", f"1 {token}", f"1 {token}:1", f"1 1:{token}"):
+                    want = outcome(oracles.parse_libsvm, [line])
+                    assert outcome(parse_libsvm, [line]) == want, line
+
+    @pytest.mark.parametrize(
+        "word",
+        ["inf", "INF", "-inf", "+Inf", "infinity", "-InFiNiTy", "infinit", "infinityy",
+         "infin", "nan", "-NaN", "+nan", "na", "nann", "nan()", "nan(abc)", "in"],
+    )
+    def test_number_words(self, word):
+        for line in (f"{word} 1:1", f"1 1:{word}", f"1 {word}:1"):
+            assert outcome(parse_libsvm, [line]) == outcome(oracles.parse_libsvm, [line])
+
+    @pytest.mark.parametrize(
+        "line, n_features",
+        [
+            ("1 9007199254740993:1", 5),
+            ("1 9007199254740992:1 9007199254740993:1", 5),
+            ("1 9007199254740993:1 9007199254740992:1", 5),
+            ("1 3:1 9007199254740993:1\n-1 " + "9" * 30 + ":1", 5),
+            ("1 2:1 9007199254740993:1\n-1 " + "9" * 5000 + ":1", 5),
+            ("1 -9007199254740993:1", 5),
+            ("1 9007199254740993:inf\n-1 0:1", 5),
+        ],
+        ids=["2**53+1", "increasing", "stalled", "30 digits", "5000 digits",
+             "negative", "before a later error"],
+    )
+    def test_indices_beyond_float_precision(self, line, n_features, tmp_path):
+        assert_matches_reference(line, tmp_path, n_features=n_features)
+
+    def test_list_line_breaks_stay_inside_their_line(self):
+        lines = ["1 1:1\r-1 2:1", "-1\n2:1"]
+        assert outcome(parse_libsvm, lines) == outcome(oracles.parse_libsvm, lines)
+        assert outcome(parse_libsvm, lines)[1] == (
+            "line 1, token 3: malformed feature '-1'"
+        )
+
+
+class TestNarrowing:
+    """Inputs the per-token reference accepts that parse_libsvm refuses."""
+
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1_0 1:1\n", "line 1: unreadable label '1_0'"),
+            ("1 1_0:1\n", "line 1, token 2: malformed feature '1_0:1'"),
+            ("1 1:1_0\n", "line 1, token 2: malformed feature '1:1_0'"),
+            ("1 1:0.5_5\n", "line 1, token 2: malformed feature '1:0.5_5'"),
+        ],
+    )
+    def test_underscore_separators_are_malformed(self, kind, text, message, tmp_path):
+        # the reference reads the number
+        assert outcome(oracles.parse_libsvm, [text.strip()]) != (LibsvmFormatError, message)
+        assert _parse_message(text, tmp_path, kind) == (LibsvmFormatError, message)
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            ["1 1:1", "-1 2:١"],
+            ["1 1:1", "-1 2:1"],
+            ["1 1:1", "-1 2:1\x0b"],
+            io.StringIO("1 1:1\n-1 2:1 é\n"),
+            io.BytesIO(b"1 1:1\r\n-1 2:\xe9\r\n"),
+            io.BytesIO(b"1 1:1\n-1 2:1\x00\n"),
+            io.BytesIO(b"1 1:1\n-1 2:1\x7f\n"),
+        ],
+    )
+    def test_bytes_outside_printable_ascii_name_their_line(self, source):
+        with pytest.raises(LibsvmFormatError, match=r"^line 2: byte 0x[0-9a-f]{2} is not "):
+            parse_libsvm(source)
+
+    def test_byte_outside_ascii_on_the_path(self, tmp_path):
+        path = tmp_path / "latin1.libsvm"
+        path.write_bytes("1 1:1\n\n-1 2:1 3:café\n".encode("latin-1"))
+        with pytest.raises(LibsvmFormatError) as err:
+            parse_libsvm(path)
+        assert str(err.value) == (
+            "line 3: byte 0xe9 is not printable ASCII, tab, CR or LF"
+        )
+
+    def test_outside_byte_is_a_structural_error_of_its_line(self):
+        lines = ["1 1:inf", "-1 2:1 é", "spam"]
+        with pytest.raises(LibsvmFormatError, match="^line 2: byte 0xc3 "):
+            parse_libsvm(lines)
+        with pytest.raises(LibsvmFormatError, match="^line 1: unreadable label 'spam'"):
+            parse_libsvm(lines[::-1])
+
+
+class TestSourceKinds:
+    def test_binary_handle(self):
+        data = parse_libsvm(io.BytesIO(b"1 1:2\n-1 2:3\n"))
+        np.testing.assert_array_equal(data.labels, [1.0, -1.0])
+        np.testing.assert_array_equal(data.features, [[2.0, 0.0], [0.0, 3.0]])
+
+    def test_bz2_handle_matches_the_plain_file(self, tmp_path):
+        text = emit_libsvm(random_dataset(np.random.default_rng(11), 9, 5))
+        plain = tmp_path / "plain.libsvm"
+        plain.write_text(text)
+        packed = tmp_path / "packed.libsvm.bz2"
+        with bz2.open(packed, "wt") as handle:
+            handle.write(text)
+        with bz2.open(packed) as handle:
+            assert outcome(parse_libsvm, handle) == outcome(parse_libsvm, plain)
+
+    def test_missing_path_raises_like_open(self, tmp_path):
+        missing = tmp_path / "missing.libsvm"
+        assert outcome(parse_libsvm, missing) == outcome(oracles.parse_libsvm, missing)
+
+    def test_unknown_labels_list_nan_last(self):
+        with pytest.raises(LibsvmFormatError) as err:
+            parse_libsvm(["nan 1:1", "1 1:1", "3 1:1"])
+        assert str(err.value).startswith(
+            f"labels {[np.float64(1.0), np.float64(3.0), np.float64('nan')]} match none"
+        )
 
 
 def _parse_message(text, tmp_path, kind, **kwargs):
