@@ -336,7 +336,8 @@ def parse_libsvm(source, label_map="auto", n_features=None):
 
     # Flag the rows with an index below 1, one that does not increase, or
     # one of 2**53 or more, which a float may not hold exactly; the line
-    # check words the first error, or returns the exact largest index.
+    # check words the first error, or returns the exact largest index. A
+    # row it passes still fails below: no array has 2**53 columns.
     flagged = (index < 1) | (index >= 2.0**53)
     stalls = index[1:] <= index[:-1]
     heads = row_feature[(row_feature > 0) & (row_feature < index.size)]
@@ -374,13 +375,14 @@ def parse_libsvm(source, label_map="auto", n_features=None):
             f"n_features={n_features} is smaller than the observed maximum "
             f"index ({inferred})"
         )
+    # free all but the scatter's inputs before the dense array exists
     del text, starts, ends, flagged, stalls, finite
     flat = np.repeat(
         np.arange(n_rows) * n_features, np.diff(row_feature, append=index.size)
     )
     np.add(flat, index, out=flat, casting="unsafe")
     flat -= 1
-    values = values.copy()
+    values = values.copy()  # so the (index, value) pairs can go
     del pairs, index
     features = np.zeros((n_rows, n_features))
     features.reshape(-1)[flat] = values
