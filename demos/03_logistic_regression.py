@@ -10,7 +10,9 @@ same query spend, with a matching edge in held-out likelihood.
 The feature matrix is scaled so the posterior is well conditioned
 (smoothness = ridge + 2); sampling with single-component gradients at a
 practical step size needs that, and it is what a standardize-and-shrink
-preprocessing pass buys on real data.
+preprocessing pass buys on real data. On all 300 rows that L holds to
+rounding, since LogisticPotential takes the exact top eigenvalue of
+A^T A; the 240-row training split sampled here has a slightly smaller L.
 
 Run with: python3 demos/03_logistic_regression.py  (about 10 seconds)
 """

@@ -267,11 +267,9 @@ class LogisticPotential(PotentialModel):
 
     so the full potential is the usual penalized negative log-likelihood
     with the ridge term split evenly across components. The gradient is
-    (lambda + max_eig(A^T A)/4)-Lipschitz; the max eigenvalue is estimated
-    by 100 steps of power iteration at construction.
+    (lambda + max_eig(A^T A)/4)-Lipschitz; smoothness holds that bound with
+    the exact largest eigenvalue of A^T A, computed at construction.
     """
-
-    _POWER_STEPS = 100
 
     def __init__(self, features, labels, ridge=1.0):
         features = np.asarray(features, dtype=float)
@@ -285,25 +283,19 @@ class LogisticPotential(PotentialModel):
             raise ValueError("labels must take values in {-1, +1}")
         if ridge < 0.0:
             raise ValueError("ridge weight must be nonnegative")
-
+        # A^T A and A A^T share their nonzero eigenvalues, so decompose the
+        # smaller one; initial=0.0 covers an empty design
+        gram = features.T @ features if d <= n else features @ features.T
+        if not np.isfinite(gram).all():
+            raise ValueError("features are non-finite or overflow A^T A")
+        gram_top = float(np.linalg.eigvalsh(gram).max(initial=0.0))
         self.features = features
         self.labels = labels
         self.ridge = float(ridge)
         self.n_components = n
         self.dimension = d
-        self.smoothness = self.ridge + self._gram_max_eigenvalue() / 4.0
+        self.smoothness = self.ridge + gram_top / 4.0
         self.strong_convexity = self.ridge
-
-    def _gram_max_eigenvalue(self):
-        # deterministic power iteration on A^T A from an all-ones start
-        v = np.ones(self.dimension) / np.sqrt(self.dimension)
-        for _ in range(self._POWER_STEPS):
-            w = self.features.T @ (self.features @ v)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                return 0.0
-            v = w / norm
-        return float(v @ (self.features.T @ (self.features @ v)))
 
     def _margins(self, x):
         return self.labels * (self.features @ x)

@@ -63,15 +63,20 @@ _BLOCK_STEPS = 256
 
 
 class ChainDivergence(RuntimeError):
-    """Raised when a chain's position norm explodes or turns non-finite."""
+    """Raised when a chain's position norm explodes or turns non-finite.
 
-    def __init__(self, chain_id, step_index, delta):
-        self.chain_id = chain_id
-        self.step_index = step_index
-        self.delta = delta
+    run_chain also passes the estimator and the position norm with its
+    limit; an error built from the first three fields leaves them None.
+    """
+
+    def __init__(self, chain_id, step_index, delta, estimator=None, norm=None, limit=None):
+        self.chain_id, self.step_index, self.delta = chain_id, step_index, delta
+        self.estimator, self.norm, self.limit = estimator, norm, limit
+        who = f"chain {chain_id}" if estimator is None else f"{estimator} chain {chain_id}"
+        norms = "" if norm is None else f"; norm {norm:.6g}, limit {limit:.6g}"
         super().__init__(
-            f"chain {chain_id} diverged at step {step_index} "
-            f"(position norm exceeded {_DIVERGENCE_FACTOR:.0e} x initial scale; "
+            f"{who} diverged at step {step_index} "
+            f"(position norm exceeded {_DIVERGENCE_FACTOR:.0e} x initial scale{norms}; "
             f"delta={delta!r})"
         )
 
@@ -196,7 +201,8 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
         batch_size=config.batch_size,
         epoch_length=config.epoch_length,
     )
-    limit_sq = (_DIVERGENCE_FACTOR * max(float(np.linalg.norm(x)), 1.0)) ** 2
+    limit = _DIVERGENCE_FACTOR * max(float(np.linalg.norm(x)), 1.0)
+    limit_sq = limit**2
 
     n_steps = config.n_steps
     stride = config.record_stride
@@ -238,7 +244,8 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
             x = state[0]
             norm_sq = x.dot(x)  # the BLAS dot of x @ x, without matmul dispatch
             if not norm_sq <= limit_sq:  # catches NaN as well as blowup
-                raise ChainDivergence(chain_id, k, coeffs.delta)
+                norm = float(np.sqrt(norm_sq))
+                raise ChainDivergence(chain_id, k, coeffs.delta, config.estimator, norm, limit)
     if n_steps == 0:
         queries[0] = estimator.query_count
         positions[0] = x

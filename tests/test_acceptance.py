@@ -9,13 +9,16 @@ the synthetic and logistic benchmarks, step-size scaling of the sampling
 bias floor, full-batch collapse, and the LIBSVM parser round trip.
 
 Run with `pytest tests/test_acceptance.py` (the suite prints even on
-success; -s is already the configured default).
+success; -s is already the configured default). Every check carries the
+`acceptance` marker, so `pytest -m "not acceptance"` runs the rest of the
+suite without them.
 """
 
 import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from vrhmc.dataio import Dataset, parse_libsvm, emit_libsvm
 from vrhmc.estimators import make_estimator, mseb_descriptor
@@ -30,6 +33,8 @@ from vrhmc.potentials import LogisticPotential, QuadraticPotential
 from vrhmc.sampler import SamplerConfig, run_chain, run_ensemble, wasserstein_tracker
 
 from oracles import conditional_mean_oracle
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(index, label, passed, detail, started, budget_s=None):

@@ -57,34 +57,34 @@ TRAJECTORY_HASHES = {
     "quadratic-sarge-b1": "16e5a3b8f2fbc8684d781647171804f0b8f32c0db3a15c501a8a391df60d7887",
     "quadratic-sarge-b3": "f2a6d7036fff8f044c13e79106e7f22930b0de8c4cf11ca39cbc795c47e3e10f",
     "quadratic-sarge-b12": "0af0422637c76c09581200c22be7a07b169e9d7d8ef078b6c69eec93ac9aecaa",
-    "logistic-full-b1": "b5cfe618681705790a162cbde8a04c6233bf3e1ebb0e98c0c30137c9ac2f7357",
-    "logistic-full-b3": "b5cfe618681705790a162cbde8a04c6233bf3e1ebb0e98c0c30137c9ac2f7357",
-    "logistic-full-b12": "b5cfe618681705790a162cbde8a04c6233bf3e1ebb0e98c0c30137c9ac2f7357",
-    "logistic-sg-b1": "9110d157362a9c46b4b66069a755529b009091acca94eee0035d05f5054c50af",
-    "logistic-sg-b3": "b777ab82a2c836b2b37baecc29b4ddd371c4426308176fb54bfd96444a00e31a",
-    "logistic-sg-b12": "b5cfe618681705790a162cbde8a04c6233bf3e1ebb0e98c0c30137c9ac2f7357",
-    "logistic-svrg-b1": "24132efdf54ba75d0937971cfc4b614d8ad203279b4e850b784e3d08ba8fb250",
-    "logistic-svrg-b3": "25891da642aa1afecbcf93a9519e25131e976ed3f23d00c83a98a16b8c4d0cbf",
-    "logistic-svrg-b12": "b73c15b5e42aa73b532697f4e640ebf6c715c2a0a0b474f47fa4e21e03c30f6b",
-    "logistic-saga-b1": "83e631400cad1a0a04a7336862faf92fa822b412b1141f535816e4d3b338df74",
-    "logistic-saga-b3": "6ab8ad465fab9810cd22c5006e19f621aa87ca5ed339b64ffa2d335a1e781bdb",
-    "logistic-saga-b12": "438c4230b65e0d9dea33b3823d257bc073535c8beb9e693050f689ddf28dafaf",
-    "logistic-sarah-b1": "d853ece49f32519f5cbfbe01342969fdddb29f734bfbd7cb4c56ea392c7c07e9",
-    "logistic-sarah-b3": "8dba59a55cf3f7b3eb6f35c643569af214c4a2062fa609226e42478e5206f4c8",
-    "logistic-sarah-b12": "438c4230b65e0d9dea33b3823d257bc073535c8beb9e693050f689ddf28dafaf",
-    "logistic-sarge-b1": "ed75341a46d385e9b1119750c7e1d30c5d988373100d68b8f4ab32799a0c1a7d",
-    "logistic-sarge-b3": "5fcb985376cd49646c14f47d296d8c6759d0d5573b5ae13209f4df0cc048d68d",
-    "logistic-sarge-b12": "cf9c4a3b0f459f35b3fb52421f76e870a520f7b1e7d71b07a16e26ddb980f4b3",
+    "logistic-full-b1": "7ad1670d4eb897ff4b80d8c29db7a30a8f8fde993148516f7734038b1c523d4c",
+    "logistic-full-b3": "7ad1670d4eb897ff4b80d8c29db7a30a8f8fde993148516f7734038b1c523d4c",
+    "logistic-full-b12": "7ad1670d4eb897ff4b80d8c29db7a30a8f8fde993148516f7734038b1c523d4c",
+    "logistic-sg-b1": "08f9214c62463d5d2e8c5869ad294b32f677687c7642bf54d63250f8f82e2283",
+    "logistic-sg-b3": "0a81d9af08e09bd5bd0576dd2a51fef6f0ead6bf2e99b0f3d7539b91f667d496",
+    "logistic-sg-b12": "7ad1670d4eb897ff4b80d8c29db7a30a8f8fde993148516f7734038b1c523d4c",
+    "logistic-svrg-b1": "940fee1424745fe42fdfbcf8d099cc3c3dcde4cf38af857892b9d4a77133ee72",
+    "logistic-svrg-b3": "a39fd991222b69a1e8be006f7d2384daefd02cb6a0eee693e423463fd8a62a60",
+    "logistic-svrg-b12": "ca5969e27fe4d763b182967e9838e8312e8ee91aeb31d173df4a92bd7ebf3f03",
+    "logistic-saga-b1": "7229694c827834bcb8089184d119a76301cb2e76647b62fee92f50f6fb2002f7",
+    "logistic-saga-b3": "cf3957d4c813e03560d7888dc08e7192305da7b83d7414bc2a59711d2f9795b9",
+    "logistic-saga-b12": "e15a3115a1bfecc8a35dcfb834da563b2ba1e6689acfcfc945aeea5871c39c9b",
+    "logistic-sarah-b1": "872af2b77070bd0a8aa40b14e3765bf546da27362253f110060c49b409063fa2",
+    "logistic-sarah-b3": "aa3d161fd76649f4a3780f6dff25907afb73344270648979a908fbb2392ee4ae",
+    "logistic-sarah-b12": "e15a3115a1bfecc8a35dcfb834da563b2ba1e6689acfcfc945aeea5871c39c9b",
+    "logistic-sarge-b1": "7e7856a4b854c0b5371a01cb5ec87c42abb96c73ddecbe45a4587b29b7bc52a2",
+    "logistic-sarge-b3": "c645c6476259daa1a0393fd004ea8c8fa9d13f67ef62b4313e74c6f20e569d26",
+    "logistic-sarge-b12": "d4812f3344c556a015a1a0b4feee2aac30687de61ff263c903f938e190317e87",
 }
 
 OUTPUT_HASHES = {
     "synthetic-results": "eee3b57c452917b04cfce45b5ddbf5252fb515f04d083c17486839b567077f75",
-    "logistic-results": "dae537e23722aa796c4990f4a0a872c0992080159a912045216bfd42e4b86ff2",
+    "logistic-results": "51c41da0ef3da5f8bf06acb8d1677b8c8054243f92e7fb516b4fd41e21cb3231",
     "synthetic-advisory": "3c2069bc7831b9890b44c910f841b515d8d85758b643201d3f5c53f6d4c93305",
     "logistic-advisory": "4aab1ae5d7e364593091937c97e6e9b65e5cfbf54b937a73e2a3079a64271050",
-    "unstandardized-results": "b7f3fd2ddbc4f49182cc660eadd48abfeb9acfff766cc69c6fac2b4de2b5c081",
+    "unstandardized-results": "17e1bb1b1f0a07734aee0bbc78731e3792290a48f7a33d493aba49917dfb198b",
     "sparse-results": "8aab25dd8105e0d6e708c66a28df9398f4ec715b335102d6526d50eb4a2e9a2e",
-    "binary-results": "1eac6d4ae893cad4da70aca0644f7ba9283b0f43782c06a57ee88fde3dbd3905",
+    "binary-results": "8c6f0302aa71303e32cc5f4e0a1e504f03d9a85f7f7af83cd0113dff83763528",
 }
 
 SYNTHETIC_CONFIG = """

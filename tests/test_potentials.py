@@ -279,7 +279,33 @@ class TestLogisticPotential:
     def test_smoothness_matches_dense_eigenvalue(self):
         model = random_logistic(8, n=40, d=6, ridge=1.3)
         gram_top = np.linalg.eigvalsh(model.features.T @ model.features).max()
-        np.testing.assert_allclose(model.smoothness, 1.3 + gram_top / 4.0, rtol=1e-8)
+        np.testing.assert_allclose(model.smoothness, 1.3 + gram_top / 4.0, rtol=1e-12)
+
+    def test_smoothness_with_more_features_than_rows(self):
+        # d > N decomposes the N x N Gram A A^T, which shares A^T A's top
+        model = random_logistic(5, n=3, d=10, ridge=1.3)
+        gram_top = np.linalg.eigvalsh(model.features.T @ model.features).max()
+        np.testing.assert_allclose(model.smoothness, 1.3 + gram_top / 4.0, rtol=1e-12)
+
+    def test_smoothness_when_the_top_eigenvector_is_orthogonal_to_ones(self):
+        # A^T A = [[6, -6], [-6, 6]] has top eigenvector (1, -1) / sqrt(2)
+        # with eigenvalue 12, so L = 1 + 12 / 4 whatever the direction
+        features = np.array([[1.0, -1.0], [2.0, -2.0], [-1.0, 1.0]])
+        model = LogisticPotential(features, np.ones(3), ridge=1.0)
+        np.testing.assert_allclose(model.smoothness, 4.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("shape", ((4, 3), (3, 5), (0, 2)))
+    def test_smoothness_of_a_zero_design_is_the_ridge(self, shape):
+        model = LogisticPotential(np.zeros(shape), np.ones(shape[0]), ridge=0.7)
+        assert model.smoothness == 0.7
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf, 1e200))
+    def test_rejects_non_finite_features(self, bad):
+        features = np.ones((4, 3))
+        features[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite or overflow"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                LogisticPotential(features, np.ones(4))
 
     def test_condition_number_is_infinite_without_ridge(self):
         assert random_logistic(8, ridge=0.0).condition_number == np.inf

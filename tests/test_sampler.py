@@ -239,6 +239,21 @@ class TestRunChain:
         assert err.value.chain_id == 3
         assert 0 <= err.value.step_index < 5000
         assert err.value.delta == pytest.approx(2.0 * 1.0 * 40.0)
+        # the limit is 1e6 x max(||x0||, 1) = 1e6, and the norm is past it
+        assert err.value.estimator == "full"
+        assert err.value.limit == 1e6
+        assert not err.value.norm <= err.value.limit
+        message = str(err.value)
+        assert message.startswith("full chain 3 diverged at step")
+        assert f"; norm {err.value.norm:.6g}, limit 1e+06; delta=80.0)" in message
+
+    def test_divergence_from_the_first_three_fields(self):
+        err = ChainDivergence(2, 17, 0.5)
+        assert (err.estimator, err.norm, err.limit) == (None, None, None)
+        assert str(err) == (
+            "chain 2 diverged at step 17 "
+            "(position norm exceeded 1e+06 x initial scale; delta=0.5)"
+        )
 
 
 class TestTailFit:
