@@ -339,6 +339,152 @@ class TestParseMatchesReference:
             "line 1, token 3: malformed feature '-1'"
         )
 
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            # 14 to 17 digits as a value, around 2**53 and with leading zeros
+            ("1 1:12345678901234 2:123456789012345 3:1234567890123456 "
+             "4:12345678901234567\n", {}),
+            ("1 1:9007199254740991 2:9007199254740992 3:9007199254740993 "
+             "4:-9007199254740993 5:+9007199254740995\n", {}),
+            ("1 1:0000000000000001 2:-00000000000000000000042 3:+0000000000000123456789012345 "
+             "4:000000000000000\n", {}),
+            # ... as a label
+            ("12345678901234 1:1\n123456789012345 1:2\n", {}),
+            ("1234567890123456 1:1\n-12345678901234567 1:2\n", {}),
+            ("9007199254740993 1:1\n-9007199254740991 1:1\n",
+             {"label_map": {9007199254740992: 1, -9007199254740991: -1}}),
+            ("0000000000000001 1:1\n-000000000000000001 1:2\n", {}),
+            # ... as an index
+            ("1 12345678901234:1\n", {"n_features": 5}),
+            ("1 123456789012345:1\n", {"n_features": 5}),
+            ("1 1234567890123456:1\n", {"n_features": 5}),
+            ("1 12345678901234567:1\n", {"n_features": 5}),
+            ("1 9007199254740991:1\n", {"n_features": 5}),
+            ("1 2:1 000000000000000003:1\n-1 +0000000000000000005:2\n", {}),
+            ("1 3:1 0000000000000003:1\n", {}),
+        ],
+        ids=["values", "values 2**53", "values leading zeros", "labels 14-15",
+             "labels 16-17", "labels 2**53", "labels leading zeros", "index 14",
+             "index 15", "index 16", "index 17", "index 2**53-1",
+             "indices leading zeros", "index leading zeros stalls"],
+    )
+    def test_integers_around_fifteen_digits(self, text, kwargs, tmp_path):
+        assert_matches_reference(text, tmp_path, **kwargs)
+
+    @pytest.mark.parametrize(
+        "text, kwargs",
+        [
+            ("-0 1:1\n1 1:2\n", {}),
+            ("+0 1:1\n-000 1:2\n1 1:3\n", {}),
+            ("-0 1:1\n+0 1:2\n", {"label_map": {0: -1}}),
+            ("1 1:-0 2:+0 3:-000 4:0 5:+000\n-1 2:-0\n", {}),
+            ("1 +3:-0\n-1 +3:1 4:+0\n", {}),
+            ("1 -0:1\n", {}),
+            ("1 1:1 -0:1\n", {}),
+            ("1 +0:1\n", {}),
+        ],
+        ids=["label -0", "labels +0 -000", "labels mapped", "values",
+             "index +3", "index -0", "index -0 late", "index +0"],
+    )
+    def test_signed_zeros_and_signs(self, text, kwargs, tmp_path):
+        assert_matches_reference(text, tmp_path, **kwargs)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1 1:1 2:0.5 3:1 4:1e3 5:-2 6:7 7:+.5 8:1 9:x 10:1\n",
+            "-1 1:1 2:2 3:3 4:.25 5:5 6:6 7:7 8:8E-2 9:9 10:10 11:1:1 12:1\n",
+            "1 1:inf 2:1\n-1 1:1 2:3 3:0.25 4:4 5:1x\n",
+            "1 1:1 2:1\n-1 1:2.5 2:3 3:-4 4:+5 5:6.\n0.5 1:1 2:2 3:3 4:4 5:5 6:6 7:+\n",
+            "1 1:1 2:2 3:3 4:4 5:5 6:- 7:1\n",
+            "1 1:1 2:2 3:3 4:4 5:-+1\n",
+            "1 1:1 2:2 3:3 4:4 5:1-\n",
+            "1 1:1 2:2 3:3 4:4 5+:1\n",
+            "1 1:1 2:2 3:3 4:4 +:1\n",
+            "1 1:1 2:2 3:3 4:4 :5\n",
+            "1 1:1 2:2 3:3 4:4 5:\n",
+            "1 1:1 2:2 3:3 4:4 12\n",
+            "1 1:1 2:2 3:3 4:4 5:2:3\n",
+            "1 1:1 2:2 3:3 4:4 --5:1\n",
+            "1 1:1\n+ 1:1\n",
+            "1 1:1\n- 1:1 2:2\n",
+            "1 1:1\n+-1 1:1\n",
+            "1 1:1\n1- 1:1\n",
+            "1 1:1\n12:1 1:1\n",
+            "1 1:1 2:2 3:3\n-1 1:1 2:0.5 3:3 4:1e-5 5:5 6:nan\n",
+            "1 1:1 2:2 3:3\n-1 1:1 2:0.5 3:3 4:1e-5 5:5 5:1\n",
+            "1 1:1 2:2 3:3\n-1 1:1 2:0.5 3:3 4:1e-5 5:5 6:1 0:1\n",
+        ],
+    )
+    def test_plain_and_other_tokens_on_one_line(self, text, tmp_path):
+        assert_matches_reference(text, tmp_path)
+
+    @pytest.mark.parametrize("broken", [None, "1:1.5.", "3:1 2:1"])
+    def test_large_one_hot_document(self, broken, tmp_path):
+        # mushrooms-shaped: every row sets one feature of each group, mostly
+        # to 1, and a few rows hold decimal and exponent values
+        rng = np.random.default_rng(5150)
+        n_rows, n_features, n_groups = 3000, 60, 12
+        edges = np.linspace(0, n_features, n_groups + 1).astype(int)
+        columns = edges[:-1] + (rng.random((n_rows, n_groups)) * np.diff(edges)).astype(int)
+        specials = ["0.5", "-2.25", "1e-3", "3E+2", "+.75", "-0", "12.", "7e0"]
+        lines = []
+        for k, row in enumerate(columns.tolist()):
+            values = ["1"] * n_groups
+            if k % 7 == 3:
+                values[k % n_groups] = specials[k % len(specials)]
+            lines.append(str(k % 2) + " " + " ".join(
+                f"{c + 1}:{v}" for c, v in zip(row, values)
+            ))
+        if broken is not None:
+            lines[2718] += " " + broken
+        assert_matches_reference("\n".join(lines) + "\n", tmp_path)
+
+
+def _value_tokens(rng, count):
+    """count finite value tokens of many shapes, each with a random sign."""
+    def digits(size):
+        return "".join(map(str, rng.integers(0, 10, size)))
+
+    def mantissa(size):
+        text = digits(size)
+        cut = int(rng.integers(0, size + 1))
+        return text[:cut] + "." + text[cut:] if rng.random() < 0.8 else text
+
+    shapes = [
+        lambda: digits(int(rng.integers(1, 21))),
+        lambda: repr(float(rng.standard_normal() * 10.0 ** rng.integers(-20, 20))),
+        # subnormals and the smallest normals, and numbers that round to them
+        lambda: repr(float(np.uint64(rng.integers(1, 2**53)).view(np.float64))),
+        lambda: f"{digits(1)}.{digits(int(rng.integers(0, 20)))}e-{rng.integers(300, 330)}",
+        lambda: f"{mantissa(17)}e{rng.integers(-340, 290)}",
+        lambda: f"{mantissa(25)}E{rng.integers(-340, 280):+d}",
+        lambda: str(rng.choice([".5", "5.", "1E+2", "0", "0.0", "000", "0e0", ".0e-7", "00.00"])),
+        lambda: f"{mantissa(int(rng.integers(1, 6)))}e{rng.integers(-5, 5)}",
+    ]
+    tokens = []
+    for shape in rng.integers(0, len(shapes), count):
+        token = shapes[shape]()
+        if token.startswith("-"):
+            token = token[1:]
+        tokens.append(str(rng.choice(["", "+", "-"])) + token)
+    return tokens
+
+
+def test_value_tokens_read_like_float():
+    # each value token must give float()'s exact bits, signed zeros included
+    width = 100
+    tokens = _value_tokens(np.random.default_rng(8128), 500 * width)
+    lines = [
+        f"{k % 2} " + " ".join(f"{j + 1}:{t}" for j, t in enumerate(tokens[k * width : (k + 1) * width]))
+        for k in range(len(tokens) // width)
+    ]
+    data = parse_libsvm(lines, n_features=width)
+    want = np.array([float(token) for token in tokens])
+    assert np.isfinite(want).all()
+    np.testing.assert_array_equal(data.features.reshape(-1).view(np.uint64), want.view(np.uint64))
+
 
 class TestNarrowing:
     """Inputs the per-token reference accepts that parse_libsvm refuses."""
