@@ -661,6 +661,28 @@ class TestOrderPreservingLabels:
         assert mapped.dtype == np.float64 and mapped.shape == (3,)
         np.testing.assert_array_equal(mapped, np.full(3, want))
 
+    @pytest.mark.parametrize(
+        "raw, label_map",
+        [
+            ([7.0, 8.0, 7.0, 8.0], {7: -1, 8: 1.0}),
+            ([7.0] * 50 + [9.0, 8.0, 9.0], {7: -1, 8: 1}),
+            ([1.0, np.nan, 1.0], {1: 1}),
+            ([-0.0, 0.0, 1.0, -0.0], {0: -1, 1: 1}),
+            ([2.0, 1.0, 2.0], {1: -1, 2: 3}),
+            ([1.0, 5.0], {1: -1}),
+        ],
+        ids=["covered", "first uncovered row", "nan", "signed zeros", "not +-1",
+             "uncovered beats not +-1"],
+    )
+    def test_explicit_map_matches_reference(self, raw, label_map):
+        def mapped(map_labels):
+            try:
+                return map_labels(np.array(raw), label_map).tobytes()
+            except LibsvmFormatError as err:
+                return str(err)
+
+        assert mapped(_map_labels) == mapped(oracles._map_labels)
+
 
 class TestRoundTrip:
     def test_emit_then_parse_is_identity(self):
