@@ -190,12 +190,46 @@ def _tokens(text):
     return classes, starts, ends, bounds[:-1][nonblank], np.flatnonzero(nonblank) + 1
 
 
-def _first_rejected(classes, starts, row_token):
-    """Index of the first token the grammar rejects, or the token count."""
-    state = np.full(starts.size, _INDEX_START, dtype=np.uint8)
-    state[row_token] = _LABEL_START
-    position = starts.copy()
-    token = np.arange(starts.size)
+def _plain(classes, starts, ends, is_label):
+    """Each token's colon, and whether the token is plain.
+
+    A plain label is [+-]?digits and a plain feature token
+    [+-]?digits:[+-]?digits; the grammar accepts both. The colon of a
+    feature token the grammar accepts is where this says, plain or not.
+    """
+    # Mark every byte but the digits and the signs that follow a token
+    # start or a colon and precede a digit. A plain label holds no mark and
+    # a plain feature token one: a colon with a digit or sign after it.
+    sign = classes == _SIGN
+    sign[:-1] &= classes[1:] == _DIGIT
+    sign[1:] &= (classes[:-1] == _END) | (classes[:-1] == _COLON)
+    marks = (classes > _DIGIT) & ~sign
+    head = marks[starts]
+    # the marks and token starts in byte order, with each token's start
+    marks = marks.view(np.uint8)
+    marks[starts] = 2
+    events = np.flatnonzero(marks != 0)
+    first = np.flatnonzero(marks[events] == 2)
+    colons = events.take(first + 1, mode="clip")
+    inner = np.diff(first, append=events.size) - 1
+    plain = np.where(
+        is_label,
+        inner == 0,
+        (inner == 1) & (classes[colons] == _COLON) & (colons + 1 < ends),
+    )
+    plain &= ~head
+    return colons, plain
+
+
+def _first_rejected(classes, starts, is_label, plain):
+    """Index of the first token the grammar rejects, or the token count.
+
+    Only the tokens that are not plain are stepped.
+    """
+    token = np.flatnonzero(~plain)
+    state = np.full(token.size, _INDEX_START, dtype=np.uint8)
+    state[is_label[token]] = _LABEL_START
+    position = starts[token]
     first = starts.size
     while state.size:
         state = _NEXT[state, classes.take(position, mode="clip")]
@@ -211,14 +245,41 @@ def _first_rejected(classes, starts, row_token):
     return first
 
 
-def _numbers(text):
-    """Every number of a run of tokens the grammar accepted, in order."""
-    colons = text == ord(":")
-    text[colons] = ord(" ")
-    try:
-        return np.fromstring(text, sep=" ")
-    finally:
-        text[colons] = ord(":")
+# at most this many digits sum exactly in floats: every partial sum is an
+# integer below 10**15 < 2**53
+_FAST_DIGITS = 15
+
+
+def _numbers(text, first, last, plain):
+    """The numbers text[first:last], as float() reads them.
+
+    A plain number, [+-]?digits with at most _FAST_DIGITS digits, is summed
+    from its digits one column at a time, units first; the sign then
+    negates the float, so -0 reads -0.0. Every other number goes through
+    numpy's bytes-to-float cast, one length at a time.
+    """
+    lead = text[first]
+    negative = lead == ord("-")
+    size = last - first
+    size -= plain & (negative | (lead == ord("+")))
+    fast = plain & (size <= _FAST_DIGITS)
+    position = last - 1
+    out = text[position] - 48.0
+    place = 1.0
+    for column in range(1, int(size.max(initial=0, where=fast))):
+        position -= 1
+        place *= 10.0
+        digit = text.take(position, mode="clip") - 48.0
+        digit *= (size > column) * place
+        out += digit
+    np.negative(out, out=out, where=fast & negative)
+    other = np.flatnonzero(~fast)
+    width = last[other] - first[other]
+    for w in np.unique(width):
+        group = other[width == w]
+        chars = text[first[group, None] + np.arange(w)]
+        out[group] = chars.view(f"S{w}").ravel().astype(float)
+    return out
 
 
 def _strict(convert, text):
@@ -271,16 +332,21 @@ def _check_line(line, lineno):
 def _map_labels(raw, label_map):
     raw = np.asarray(raw, dtype=float)
     if isinstance(label_map, dict):
-        mapped = np.empty_like(raw)
-        for k, value in enumerate(raw):
-            if value not in label_map:
-                raise LibsvmFormatError(
-                    f"row {k}: label {value!r} not covered by the label map"
-                )
-            mapped[k] = label_map[value]
-        if not np.all(np.isin(mapped, (-1.0, 1.0))):
+        # look up each distinct label once, then gather by row
+        observed = np.unique(raw)
+        slot = np.searchsorted(observed, raw)
+        uncovered = np.array([value not in label_map for value in observed], dtype=bool)
+        if uncovered.any():
+            k = int(np.argmax(uncovered[slot]))
+            raise LibsvmFormatError(
+                f"row {k}: label {raw[k]!r} not covered by the label map"
+            )
+        targets = np.empty_like(observed)
+        for j, value in enumerate(observed):
+            targets[j] = label_map[value]
+        if not np.all(np.isin(targets, (-1.0, 1.0))):
             raise LibsvmFormatError("label map must produce values in {-1, +1}")
-        return mapped
+        return targets[slot]
     if label_map != "auto":
         raise ValueError("label_map must be 'auto' or a dict")
     observed = np.unique(raw)
@@ -318,20 +384,25 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     """
     text = _read_bytes(source)
     classes, starts, ends, row_token, row_line = _tokens(text)
-    rejected = _first_rejected(classes, starts, row_token)
+    is_label = np.zeros(starts.size, dtype=bool)
+    is_label[row_token] = True
+    colons, plain = _plain(classes, starts, ends, is_label)
+    rejected = _first_rejected(classes, starts, is_label, plain)
     del classes
     # the rows before the rejected token's row passed the grammar
     n_rows = row_token.size
     if rejected < starts.size:
         n_rows = int(np.searchsorted(row_token, rejected, "right")) - 1
     limit = row_token[n_rows] if n_rows < row_token.size else starts.size
-    numbers = _numbers(text[starts[0] : ends[limit - 1]]) if limit else np.empty(0)
-    # a row is its label then (index, value) pairs
-    label_slots = 2 * row_token[:n_rows] - np.arange(n_rows)
-    labels = numbers[label_slots]
-    pairs = np.delete(numbers, label_slots)
-    del numbers
-    index, values = pairs[0::2], pairs[1::2]
+    # a row is its label then (index, value) pairs, read as three streams;
+    # an index the grammar accepted is plain
+    label = row_token[:n_rows]
+    labels = _numbers(text, starts[label], ends[label], plain[label])
+    feature = np.flatnonzero(~is_label[:limit])
+    colons = colons[feature]
+    index = _numbers(text, starts[feature], colons, np.ones(feature.size, dtype=bool))
+    values = _numbers(text, colons + 1, ends[feature], plain[feature])
+    del is_label, plain, feature, colons
     row_feature = row_token[:n_rows] - np.arange(n_rows)  # first pair of each row
 
     # Flag the rows with an index below 1, one that does not increase, or
@@ -382,8 +453,7 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     )
     np.add(flat, index, out=flat, casting="unsafe")
     flat -= 1
-    values = values.copy()  # so the (index, value) pairs can go
-    del pairs, index
+    del index
     features = np.zeros((n_rows, n_features))
     features.reshape(-1)[flat] = values
     return Dataset(labels=_map_labels(labels, label_map), features=features)
