@@ -19,10 +19,15 @@ in any case included), an index an integer as int() reads it, and a
 value a float again, except that "_" digit separators (1_0) are refused.
 parse_libsvm reads a path, an open text or binary handle, or a list of
 lines. It reads the source as bytes, so decoding does not depend on the
-locale; it classifies the bytes, finds tokens and lines and checks the
-grammar with whole-buffer array operations, and converts every number in
-one np.fromstring call. Python looks at single tokens only to word the
-error of a line an array check flagged.
+locale, and works with whole-buffer array operations: it classifies the
+bytes and finds tokens and lines; it marks the plain tokens, a label
+[+-]?digits and a feature [+-]?digits:[+-]?digits, which the grammar
+always accepts, and steps the grammar automaton over the other tokens
+only; then it reads labels, indices and values as three streams from the
+token bounds and colons. A plain number of at most 15 digits is read by
+digit arithmetic, every other one by numpy's bytes-to-float cast. Python
+looks at single tokens only to word the error of a line an array check
+flagged.
 
 Parsing fills the dense array directly, a split is a row take, and
 standardize fits and applies its transform to the split's arrays.
@@ -191,34 +196,34 @@ def _tokens(text):
 
 
 def _plain(classes, starts, ends, is_label):
-    """Each token's colon, and whether the token is plain.
+    """Whether each token is plain.
 
     A plain label is [+-]?digits and a plain feature token
-    [+-]?digits:[+-]?digits; the grammar accepts both. The colon of a
-    feature token the grammar accepts is where this says, plain or not.
+    [+-]?digits:[+-]?digits; the grammar accepts both.
     """
-    # Mark every byte but the digits and the signs that follow a token
-    # start or a colon and precede a digit. A plain label holds no mark and
-    # a plain feature token one: a colon with a digit or sign after it.
+    # A sign after a token start or a colon and before a digit weighs
+    # nothing, like a digit; a colon after a digit and before another byte
+    # of its token weighs 1; every other byte of a token weighs 2. A plain
+    # label then weighs 0 and a plain feature token 1.
     sign = classes == _SIGN
     sign[:-1] &= classes[1:] == _DIGIT
     sign[1:] &= (classes[:-1] == _END) | (classes[:-1] == _COLON)
-    marks = (classes > _DIGIT) & ~sign
-    head = marks[starts]
-    # the marks and token starts in byte order, with each token's start
-    marks = marks.view(np.uint8)
-    marks[starts] = 2
-    events = np.flatnonzero(marks != 0)
-    first = np.flatnonzero(marks[events] == 2)
-    colons = events.take(first + 1, mode="clip")
-    inner = np.diff(first, append=events.size) - 1
-    plain = np.where(
-        is_label,
-        inner == 0,
-        (inner == 1) & (classes[colons] == _COLON) & (colons + 1 < ends),
-    )
-    plain &= ~head
-    return colons, plain
+    colon = classes == _COLON
+    colon[:-1] &= classes[1:] != _END
+    colon[1:] &= classes[:-1] == _DIGIT
+    colon[0] = False
+    weight = classes > _DIGIT
+    weight ^= sign
+    del sign
+    weight = weight.view(np.uint8)
+    weight *= 2
+    weight -= colon
+    del colon
+    # A token's sum runs to the next token's start over end bytes, which
+    # weigh nothing. It wraps around 256 only for tokens of 128 bytes or
+    # more, which are not plain.
+    weight = np.add.reduceat(weight, starts, dtype=np.uint8)
+    return np.where(is_label, weight == 0, weight == 1) & (ends - starts < 128)
 
 
 def _first_rejected(classes, starts, is_label, plain):
@@ -253,25 +258,26 @@ _FAST_DIGITS = 15
 def _numbers(text, first, last, plain):
     """The numbers text[first:last], as float() reads them.
 
-    A plain number, [+-]?digits with at most _FAST_DIGITS digits, is summed
-    from its digits one column at a time, units first; the sign then
+    A plain number, [+-]?digits with at most _FAST_DIGITS digits, is read
+    by Horner's rule over its digit columns in floats; the sign then
     negates the float, so -0 reads -0.0. Every other number goes through
     numpy's bytes-to-float cast, one length at a time.
     """
+    out = np.zeros(first.size)
     lead = text[first]
     negative = lead == ord("-")
-    size = last - first
-    size -= plain & (negative | (lead == ord("+")))
+    digits = first + (plain & (negative | (lead == ord("+"))))
+    size = last - digits
     fast = plain & (size <= _FAST_DIGITS)
-    position = last - 1
-    out = text[position] - 48.0
-    place = 1.0
-    for column in range(1, int(size.max(initial=0, where=fast))):
-        position -= 1
-        place *= 10.0
-        digit = text.take(position, mode="clip") - 48.0
-        digit *= (size > column) * place
-        out += digit
+    columns = int(size.max(initial=0, where=fast))
+    del size
+    for _ in range(columns):
+        live = digits < last
+        digit = text.take(digits, mode="clip")
+        digit -= 48
+        np.multiply(out, 10.0, out=out, where=live)
+        np.add(out, digit, out=out, where=live)
+        digits += 1
     np.negative(out, out=out, where=fast & negative)
     other = np.flatnonzero(~fast)
     width = last[other] - first[other]
@@ -280,6 +286,34 @@ def _numbers(text, first, last, plain):
         chars = text[first[group, None] + np.arange(w)]
         out[group] = chars.view(f"S{w}").ravel().astype(float)
     return out
+
+
+# the pairs are read this many tokens at a time, so that their
+# temporaries stay small next to the text
+_BLOCK_TOKENS = 65536
+
+
+def _pairs(text, starts, ends, is_feature, plain):
+    """The index and value of every feature token, as two arrays.
+
+    Every token given passed the grammar: a label holds no colon, a feature
+    token one, and its index is plain.
+    """
+    n_pairs = np.count_nonzero(is_feature)
+    index, values = np.empty(n_pairs), np.empty(n_pairs)
+    done = 0
+    for lo in range(0, starts.size, _BLOCK_TOKENS):
+        block = slice(lo, lo + _BLOCK_TOKENS)
+        feature = is_feature[block]
+        first, last = starts[block][feature], ends[block][feature]
+        colons = np.flatnonzero(text[starts[lo] : ends[block][-1]] == ord(":"))
+        colons += starts[lo]
+        pairs = slice(done, done + colons.size)
+        index[pairs] = _numbers(text, first, colons, np.ones(colons.size, dtype=bool))
+        colons += 1
+        values[pairs] = _numbers(text, colons, last, plain[block][feature])
+        done = pairs.stop
+    return index, values
 
 
 def _strict(convert, text):
@@ -381,28 +415,39 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     Two inputs are refused that Python's own number readers accept: a
     byte outside printable ASCII, tab, CR and LF (Unicode digits and
     spaces), and numbers written with "_" separators (1_0).
+
+    The grammar automaton steps only the tokens that are not plain (a
+    plain label is [+-]?digits, a plain feature token
+    [+-]?digits:[+-]?digits); the first token it rejects is the first
+    rejected token overall. Labels, indices and values are then read as
+    three streams, the (index, value) pairs in blocks of tokens. A plain
+    number of at most 15 digits is summed from its digits in floats, every
+    sum exact below 2**53, and negated as a float, so -0 reads -0.0; every
+    other number goes through numpy's bytes-to-float cast.
     """
     text = _read_bytes(source)
     classes, starts, ends, row_token, row_line = _tokens(text)
-    is_label = np.zeros(starts.size, dtype=bool)
+    n_tokens = starts.size
+    is_label = np.zeros(n_tokens, dtype=bool)
     is_label[row_token] = True
-    colons, plain = _plain(classes, starts, ends, is_label)
+    plain = _plain(classes, starts, ends, is_label)
     rejected = _first_rejected(classes, starts, is_label, plain)
     del classes
     # the rows before the rejected token's row passed the grammar
     n_rows = row_token.size
-    if rejected < starts.size:
+    if rejected < n_tokens:
         n_rows = int(np.searchsorted(row_token, rejected, "right")) - 1
-    limit = row_token[n_rows] if n_rows < row_token.size else starts.size
-    # a row is its label then (index, value) pairs, read as three streams;
-    # an index the grammar accepted is plain
+    limit = row_token[n_rows] if n_rows < row_token.size else n_tokens
+    # each row's bytes, from its label's start to its last token's end
+    row_start = starts[row_token]
+    row_end = ends[np.append(row_token, n_tokens)[1:] - 1]
+    # a row is its label then (index, value) pairs, read as three streams
     label = row_token[:n_rows]
-    labels = _numbers(text, starts[label], ends[label], plain[label])
-    feature = np.flatnonzero(~is_label[:limit])
-    colons = colons[feature]
-    index = _numbers(text, starts[feature], colons, np.ones(feature.size, dtype=bool))
-    values = _numbers(text, colons + 1, ends[feature], plain[feature])
-    del is_label, plain, feature, colons
+    labels = _numbers(text, row_start[:n_rows], ends[label], plain[label])
+    index, values = _pairs(
+        text, starts[:limit], ends[:limit], ~is_label[:limit], plain[:limit]
+    )
+    del starts, ends, is_label, plain
     row_feature = row_token[:n_rows] - np.arange(n_rows)  # first pair of each row
 
     # Flag the rows with an index below 1, one that does not increase, or
@@ -420,9 +465,7 @@ def parse_libsvm(source, label_map="auto", n_features=None):
         suspects.append(n_rows)  # the row the grammar rejected
     exact = []
     for row in suspects:
-        last = row_token[row + 1] - 1 if row + 1 < row_token.size else starts.size - 1
-        line = text[starts[row_token[row]] : ends[last]]
-        exact.append(_check_line(line, row_line[row]))
+        exact.append(_check_line(text[row_start[row] : row_end[row]], row_line[row]))
     if n_rows < row_token.size:
         raise RuntimeError(f"line {row_line[n_rows]}: rejected, but no error found")
 
@@ -431,10 +474,10 @@ def parse_libsvm(source, label_map="auto", n_features=None):
         k = int(np.argmin(finite))
         row = int(np.searchsorted(row_feature, k, "right")) - 1
         pos = k - row_feature[row] + 2
-        token = row_token[row] + pos - 1
+        token = text[row_start[row] : row_end[row]].tobytes().split()[pos - 1]
         raise LibsvmFormatError(
             f"line {row_line[row]}, token {pos}: non-finite value "
-            f"{text[starts[token] : ends[token]].tobytes().decode('ascii')!r}"
+            f"{token.decode('ascii')!r}"
         )
     if not n_rows:
         raise LibsvmFormatError("no data rows found")
@@ -447,7 +490,7 @@ def parse_libsvm(source, label_map="auto", n_features=None):
             f"index ({inferred})"
         )
     # free all but the scatter's inputs before the dense array exists
-    del text, starts, ends, flagged, stalls, finite
+    del text, row_start, row_end, flagged, stalls, finite
     flat = np.repeat(
         np.arange(n_rows) * n_features, np.diff(row_feature, append=index.size)
     )

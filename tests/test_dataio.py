@@ -7,6 +7,7 @@ import itertools
 import numpy as np
 import pytest
 
+from vrhmc import dataio
 from vrhmc.dataio import (
     Dataset,
     LibsvmFormatError,
@@ -420,12 +421,30 @@ class TestParseMatchesReference:
     def test_plain_and_other_tokens_on_one_line(self, text, tmp_path):
         assert_matches_reference(text, tmp_path)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["." * 128 + " 1:1\n", "1 1:" + "." * 128 + "\n", "1 1:" + "0" * 200 + "7\n",
+         "-" + "0" * 127 + " 1:1\n", "1 " + "+" * 129 + ":1\n"],
+    )
+    def test_long_tokens(self, text, tmp_path):
+        assert_matches_reference(text, tmp_path)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+    def test_pair_blocks_do_not_show(self, block, monkeypatch):
+        rng = np.random.default_rng(77)
+        documents = [fuzz_document(rng)[0] for _ in range(60)]
+        want = [outcome(parse_libsvm, text.splitlines()) for text in documents]
+        monkeypatch.setattr(dataio, "_BLOCK_TOKENS", block)
+        got = [outcome(parse_libsvm, text.splitlines()) for text in documents]
+        assert got == want
+
     @pytest.mark.parametrize("broken", [None, "1:1.5.", "3:1 2:1"])
     def test_large_one_hot_document(self, broken, tmp_path):
         # mushrooms-shaped: every row sets one feature of each group, mostly
         # to 1, and a few rows hold decimal and exponent values
         rng = np.random.default_rng(5150)
-        n_rows, n_features, n_groups = 3000, 60, 12
+        # 6000 rows of 13 tokens span two blocks of pairs
+        n_rows, n_features, n_groups = 6000, 60, 12
         edges = np.linspace(0, n_features, n_groups + 1).astype(int)
         columns = edges[:-1] + (rng.random((n_rows, n_groups)) * np.diff(edges)).astype(int)
         specials = ["0.5", "-2.25", "1e-3", "3E+2", "+.75", "-0", "12.", "7e0"]
@@ -438,7 +457,7 @@ class TestParseMatchesReference:
                 f"{c + 1}:{v}" for c, v in zip(row, values)
             ))
         if broken is not None:
-            lines[2718] += " " + broken
+            lines[5400] += " " + broken
         assert_matches_reference("\n".join(lines) + "\n", tmp_path)
 
 
