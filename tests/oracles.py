@@ -1,5 +1,6 @@
-"""Test oracles: exact conditional means of the gradient estimators, and
-the per-token LIBSVM parser that vrhmc.dataio.parse_libsvm must match."""
+"""Test oracles: exact conditional means of the gradient estimators, the
+per-token LIBSVM parser that vrhmc.dataio.parse_libsvm must match, and the
+per-row W2 tracker that vrhmc.sampler.wasserstein_tracker must match."""
 
 import copy
 import itertools
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from vrhmc.dataio import Dataset, LibsvmFormatError
+from vrhmc.metrics import GaussianSummary
 
 # oracle enumeration refuses above this many batches
 _MAX_ENUMERATION = 10_000
@@ -169,3 +171,81 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     features = np.zeros((len(raw_labels), n_features))
     features[np.repeat(np.arange(len(raw_labels)), np.diff(indptr)), indices] = values
     return Dataset(labels=_map_labels(raw_labels, label_map), features=features)
+
+
+# Reference W2 tracker: one Gaussian fit and one Bures evaluation per
+# recorded row, with two eigh square roots per pair.
+# vrhmc.sampler.wasserstein_tracker must give the same bits, NaN rows
+# included, and raise on the same inputs.
+
+
+def _sqrtm_psd_reference(matrix):
+    eigvals, eigvecs = np.linalg.eigh(matrix)
+    eigvals = np.clip(eigvals, 0.0, None)
+    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+
+
+def bures_w2_reference(a, b):
+    """W2 between two GaussianSummary objects, ordered by their byte keys."""
+    if a.mean.size != b.mean.size:
+        raise ValueError("summaries have mismatched dimensions")
+    key_a = (a.mean.tobytes(), a.cov.tobytes())
+    key_b = (b.mean.tobytes(), b.cov.tobytes())
+    if key_b < key_a:
+        a, b = b, a
+    root_a = _sqrtm_psd_reference(a.cov)
+    cross = _sqrtm_psd_reference(root_a @ b.cov @ root_a)
+    shift = a.mean - b.mean
+    w2_sq = float(shift @ shift + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
+    return float(np.sqrt(max(w2_sq, 0.0)))
+
+
+def pooled_fits_reference(records):
+    """Yield (row, GaussianSummary) for every row the tracker evaluates.
+
+    The fit of row r pools every chain's post-burn-in positions up to and
+    including r; rows before burn-in or with fewer than d + 1 pooled
+    samples are skipped. Raises, after the last row, if even the full
+    stream is too short to fit a covariance.
+    """
+    iterations = records[0].iterations
+    for record in records[1:]:
+        if not np.array_equal(record.iterations, iterations):
+            raise ValueError("records disagree on the recorded iteration grid")
+    burn_in = records[0].burn_in
+    d = records[0].positions.shape[1]
+    n_chains = len(records)
+    n_rows = iterations.shape[0]
+    tail = iterations >= burn_in
+
+    stacked = np.stack([r.positions for r in records])  # (chains, rows, d)
+    masked = np.where(tail[None, :, None], stacked, 0.0)
+    cum_sum = np.cumsum(masked.sum(axis=0), axis=0)
+    row_outer = np.einsum("cri,crj->rij", masked, masked)
+    cum_outer = np.cumsum(row_outer, axis=0)
+    counts = np.cumsum(tail) * n_chains
+
+    for r in range(n_rows):
+        n = counts[r]
+        if not tail[r] or n < d + 1:
+            continue
+        mean = cum_sum[r] / n
+        cov = (cum_outer[r] - n * np.outer(mean, mean)) / (n - 1)
+        yield r, GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T))
+    if counts[-1] < d + 1:
+        raise ValueError(
+            f"only {int(counts[-1])} pooled post-burn-in samples, need at least {d + 1}"
+        )
+
+
+def wasserstein_tracker_reference(records, target_mean, target_cov):
+    """W2 of the pooled fit at each recorded row to the target; NaN where
+    pooled_fits_reference skips the row."""
+    target = GaussianSummary(
+        mean=np.asarray(target_mean, dtype=float),
+        cov=np.asarray(target_cov, dtype=float),
+    )
+    w2 = np.full(records[0].iterations.shape[0], np.nan)
+    for r, fit in pooled_fits_reference(records):
+        w2[r] = bures_w2_reference(fit, target)
+    return w2

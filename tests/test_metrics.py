@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from vrhmc.metrics import GaussianSummary, bures_w2, gradient_mse, potential_mse
 from vrhmc.metrics import test_nll as held_out_nll
 from vrhmc.metrics import test_nll_per_sample as held_out_nll_per_sample
@@ -97,6 +98,14 @@ class TestBuresW2:
                 + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(inner)
             )
             np.testing.assert_allclose(bures_w2(a, b), np.sqrt(want_sq), rtol=1e-8)
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 20])
+    def test_bitwise_equal_to_the_reference_pair_formula(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(10):
+            a, b = random_gaussian(rng, d), random_gaussian(rng, d)
+            assert bures_w2(a, b) == oracles.bures_w2_reference(a, b)
+            assert bures_w2(b, a) == oracles.bures_w2_reference(b, a)
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(4)

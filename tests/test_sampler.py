@@ -5,6 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+import oracles
 from vrhmc.cli import _csv
 from vrhmc.integrator import noise_coefficients
 from vrhmc.metrics import GaussianSummary, bures_w2
@@ -485,6 +486,88 @@ class TestWassersteinTracker:
         record = fake_record(rng.standard_normal((4, 2)), burn_in=2)
         with pytest.raises(ValueError):
             wasserstein_tracker([record], np.zeros(2), np.eye(2))
+
+
+class TestWassersteinTrackerPin:
+    """The tracker against the per-row reference loop, bit for bit."""
+
+    @staticmethod
+    def assert_pinned(records, target_mean, target_cov):
+        w2 = wasserstein_tracker(records, target_mean, target_cov)
+        want = oracles.wasserstein_tracker_reference(records, target_mean, target_cov)
+        assert np.array_equal(w2, want, equal_nan=True)
+        return w2
+
+    @pytest.mark.parametrize("kind", ESTIMATOR_KINDS)
+    def test_every_estimator_at_the_desk_ensemble_shape(self, kind):
+        model = QuadraticPotential.random(
+            n_components=1000, dimension=5, max_eigenvalue=10.0, min_eigenvalue=1.0, seed=7
+        )
+        config = SamplerConfig(
+            n_steps=1500,
+            step=0.05,
+            estimator=kind,
+            burn_in=750,
+            record_stride=10,
+            n_chains=4,
+            seed=21,
+        )
+        records = run_ensemble(config, model).records
+        w2 = self.assert_pinned(records, *model.target_moments())
+        # row 75 (iteration 750) pools 4 samples, below d + 1 = 6
+        assert np.isnan(w2[:76]).all() and np.isfinite(w2[76:]).all()
+
+    @pytest.mark.parametrize("d", [1, 2, 20])
+    def test_random_streams_in_several_dimensions(self, d):
+        rng = np.random.default_rng(d)
+        records = [fake_record(rng.standard_normal((60, d)) + 0.3, burn_in=7) for _ in range(3)]
+        root = rng.standard_normal((d, d))
+        self.assert_pinned(records, rng.standard_normal(d), root @ root.T + np.eye(d))
+
+    def test_fits_sorting_before_and_after_the_target(self):
+        # the byte key picks which side's square root is taken; both
+        # orders must occur among the rows
+        rng = np.random.default_rng(11)
+        records = [fake_record(rng.standard_normal((80, 3)), burn_in=5) for _ in range(2)]
+        target_mean, target_cov = np.zeros(3) + 0.01, np.diag([1.0, 2.0, 0.5])
+        target = GaussianSummary(mean=target_mean, cov=target_cov)
+        key = (target.mean.tobytes(), target.cov.tobytes())
+        before = [
+            (fit.mean.tobytes(), fit.cov.tobytes()) < key
+            for _, fit in oracles.pooled_fits_reference(records)
+        ]
+        assert any(before) and not all(before)
+        self.assert_pinned(records, target_mean, target_cov)
+
+    def test_ties_on_the_mean_bytes_and_on_the_whole_key(self):
+        rng = np.random.default_rng(12)
+        records = [fake_record(rng.standard_normal((40, 3)), burn_in=0) for _ in range(2)]
+        *_, (_, last) = oracles.pooled_fits_reference(records)
+        # the last row's mean ties, so its covariance bytes decide the order
+        for scale in (0.5, 2.0):
+            self.assert_pinned(records, last.mean, scale * last.cov)
+        w2 = self.assert_pinned(records, last.mean, last.cov)
+        assert w2[-1] == pytest.approx(0.0, abs=1e-7)
+
+    def test_rank_deficient_pooled_covariance(self):
+        rng = np.random.default_rng(13)
+        records = []
+        for _ in range(2):
+            base = rng.standard_normal((50, 1))
+            records.append(fake_record(np.hstack([base, 3.0 * base, 0.1 - base]), burn_in=0))
+        negative = [
+            np.linalg.eigh(fit.cov)[0].min() < 0.0
+            for _, fit in oracles.pooled_fits_reference(records)
+        ]
+        assert any(negative), "no fit exercises the eigenvalue clip"
+        self.assert_pinned(records, np.zeros(3), np.eye(3))
+
+    def test_nan_rows_before_burn_in_and_below_d_plus_one_samples(self):
+        rng = np.random.default_rng(14)
+        # rows 0-2 are pre-burn-in, rows 3-7 pool 1 to 5 samples < d + 1 = 6
+        record = fake_record(rng.standard_normal((20, 5)), burn_in=3)
+        w2 = self.assert_pinned([record], np.zeros(5), np.eye(5))
+        assert np.isnan(w2[:8]).all() and np.isfinite(w2[8:]).all()
 
 
 class TestRunRecordCsv:
