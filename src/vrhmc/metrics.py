@@ -1,4 +1,12 @@
-"""Accuracy metrics: Gaussian 2-Wasserstein distance, MSEs, held-out NLL."""
+"""Accuracy metrics: Gaussian 2-Wasserstein distance, MSEs, held-out NLL.
+
+The Gaussian W2 runs as one stacked Bures kernel: a pair (bures_w2) is
+its one-row case, and sampler.wasserstein_tracker hands it every
+recorded row at once. Each row is put in the same canonical order
+against the other Gaussian by comparing their bytes, which makes the
+distance exactly symmetric and gives a row the same bits whether it is
+evaluated alone or in a stack.
+"""
 
 from __future__ import annotations
 
@@ -46,12 +54,48 @@ class GaussianSummary:
         return cls(mean=mean, cov=cov)
 
 
-def _sqrtm_psd(matrix):
-    # symmetric square root via eigendecomposition, clamping the tiny
-    # negative eigenvalues that sample covariances produce
-    eigvals, eigvecs = np.linalg.eigh(matrix)
+def _sqrtm_psd(matrices):
+    # symmetric square roots of a stack of matrices via eigendecomposition,
+    # clamping the tiny negative eigenvalues that sample covariances produce;
+    # eigh and matmul run each matrix of the stack through the same LAPACK
+    # and BLAS calls a single matrix takes, so every root has its own bits
+    eigvals, eigvecs = np.linalg.eigh(matrices)
     eigvals = np.clip(eigvals, 0.0, None)
-    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
+    return (eigvecs * np.sqrt(eigvals)[..., None, :]) @ eigvecs.swapaxes(-1, -2)
+
+
+def _bures_w2_rows(means, covs, target):
+    """W2 from each Gaussian (means[r], covs[r]) to the GaussianSummary target.
+
+    means is (rows, d) and covs (rows, d, d), each covariance symmetric.
+    Every row is ordered against the target by bures_w2's byte key, the
+    concatenated bytes of mean and covariance, and the formula runs once
+    over the whole stack. Returns a (rows,) array.
+    """
+    n_rows, d = means.shape
+    row_keys = np.concatenate([means, covs.reshape(n_rows, d * d)], axis=1).view(np.uint8)
+    target_key = np.concatenate([target.mean, target.cov.ravel()]).view(np.uint8)
+    # bytes compare unsigned and lexicographically: the first differing
+    # byte decides, and equal keys keep the row first
+    differs = row_keys != target_key
+    first = differs.argmax(axis=1)
+    swap = differs.any(axis=1) & (target_key[first] < row_keys[np.arange(n_rows), first])
+
+    mean_a = np.where(swap[:, None], target.mean, means)
+    mean_b = np.where(swap[:, None], means, target.mean)
+    cov_a = np.where(swap[:, None, None], target.cov, covs)
+    cov_b = np.where(swap[:, None, None], covs, target.cov)
+    root_a = _sqrtm_psd(cov_a)
+    cross = _sqrtm_psd(root_a @ cov_b @ root_a)
+    shift = mean_a - mean_b
+    # stacked (1, d) @ (d, 1) products run the same BLAS dot as shift @ shift
+    w2_sq = (
+        (shift[:, None, :] @ shift[:, :, None])[:, 0, 0]
+        + np.trace(cov_a, axis1=1, axis2=2)
+        + np.trace(cov_b, axis1=1, axis2=2)
+        - 2.0 * np.trace(cross, axis1=1, axis2=2)
+    )
+    return np.sqrt(np.maximum(w2_sq, 0.0))
 
 
 def bures_w2(a: GaussianSummary, b: GaussianSummary) -> float:
@@ -62,19 +106,13 @@ def bures_w2(a: GaussianSummary, b: GaussianSummary) -> float:
 
     The formula is evaluated after ordering the arguments by a canonical
     byte key, so the result is exactly symmetric in its inputs despite the
-    asymmetric-looking cross term.
+    asymmetric-looking cross term. A pair is the one-row case of the
+    stacked kernel that wasserstein_tracker runs over every recorded row,
+    so the ordering rule and the arithmetic live in one place.
     """
     if a.mean.size != b.mean.size:
         raise ValueError("summaries have mismatched dimensions")
-    key_a = (a.mean.tobytes(), a.cov.tobytes())
-    key_b = (b.mean.tobytes(), b.cov.tobytes())
-    if key_b < key_a:
-        a, b = b, a
-    root_a = _sqrtm_psd(a.cov)
-    cross = _sqrtm_psd(root_a @ b.cov @ root_a)
-    shift = a.mean - b.mean
-    w2_sq = float(shift @ shift + np.trace(a.cov) + np.trace(b.cov) - 2.0 * np.trace(cross))
-    return float(np.sqrt(max(w2_sq, 0.0)))
+    return float(_bures_w2_rows(a.mean[None], a.cov[None], b)[0])
 
 
 def gradient_mse(record):

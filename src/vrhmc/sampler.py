@@ -41,7 +41,7 @@ from .integrator import (
     noise_coefficients,
     sample_noise,
 )
-from .metrics import GaussianSummary, bures_w2
+from .metrics import GaussianSummary, _bures_w2_rows
 
 __all__ = [
     "SamplerConfig",
@@ -362,6 +362,11 @@ def wasserstein_tracker(records, target_mean, target_cov):
     row, and its Bures-Wasserstein distance to the target is returned.
     Rows before burn-in, or with fewer than d + 1 pooled samples, hold
     NaN. Raises if even the full stream is too short to fit a covariance.
+
+    The fits come from running sums of the positions and their outer
+    products, all rows at once, and one call of the stacked Bures kernel
+    that bures_w2 also runs evaluates every fitted row; each row gets the
+    bits a per-row fit and bures_w2 call would give it.
     """
     target = GaussianSummary(
         mean=np.asarray(target_mean, dtype=float),
@@ -374,26 +379,29 @@ def wasserstein_tracker(records, target_mean, target_cov):
     burn_in = records[0].burn_in
     d = records[0].positions.shape[1]
     n_chains = len(records)
-    n_rows = iterations.shape[0]
     tail = iterations >= burn_in
+    counts = np.cumsum(tail) * n_chains
+    if counts[-1] < d + 1:
+        raise ValueError(
+            f"only {int(counts[-1])} pooled post-burn-in samples, need at least {d + 1}"
+        )
 
     stacked = np.stack([r.positions for r in records])  # (chains, rows, d)
     masked = np.where(tail[None, :, None], stacked, 0.0)
     cum_sum = np.cumsum(masked.sum(axis=0), axis=0)
     row_outer = np.einsum("cri,crj->rij", masked, masked)
     cum_outer = np.cumsum(row_outer, axis=0)
-    counts = np.cumsum(tail) * n_chains
 
-    w2 = np.full(n_rows, np.nan)
-    for r in range(n_rows):
-        n = counts[r]
-        if not tail[r] or n < d + 1:
-            continue
-        mean = cum_sum[r] / n
-        cov = (cum_outer[r] - n * np.outer(mean, mean)) / (n - 1)
-        w2[r] = bures_w2(GaussianSummary(mean=mean, cov=0.5 * (cov + cov.T)), target)
-    if counts[-1] < d + 1:
-        raise ValueError(
-            f"only {int(counts[-1])} pooled post-burn-in samples, need at least {d + 1}"
-        )
+    fitted = tail & (counts >= d + 1)
+    n = counts[fitted][:, None, None]
+    means = cum_sum[fitted] / n[:, 0]
+    outer = means[:, :, None] * means[:, None, :]
+    covs = (cum_outer[fitted] - n * outer) / (n - 1)
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    # a GaussianSummary fit symmetrizes once more; the pass is repeated so
+    # every entry, overflowing ones included, keeps the per-row bits
+    covs = 0.5 * (covs + covs.swapaxes(1, 2))
+
+    w2 = np.full(iterations.shape[0], np.nan)
+    w2[fitted] = _bures_w2_rows(means, covs, target)
     return w2
