@@ -207,13 +207,13 @@ class SagaEstimator(GradientEstimator):
         model = self.model
         self.query_count += len(batch)
         fresh = model.gradient_batch(batch, x)
-        residual = fresh - self.table.take(batch, axis=0)
+        residual_sum = (fresh - self.table.take(batch, axis=0)).sum(axis=0)
         if self._full_collapse():
             estimate = model.gradient_full(x)
         else:
             scale = model.n_components / len(batch)
-            estimate = scale * residual.sum(axis=0) + self.table_sum
-        _commit_table(self, batch, fresh, residual)
+            estimate = scale * residual_sum + self.table_sum
+        _commit_table(self, batch, fresh, residual_sum)
         return estimate
 
 
@@ -307,15 +307,13 @@ class SargeEstimator(GradientEstimator):
         previous = model.gradient_batch(batch, self.prev_point)
         previous *= w
         fresh -= previous
-        residual = fresh - self.table.take(batch, axis=0)
+        residual_sum = (fresh - self.table.take(batch, axis=0)).sum(axis=0)
         if self._full_collapse():
             estimate = model.gradient_full(x)
         else:
             scale = n / len(batch)
-            estimate = (
-                scale * residual.sum(axis=0) + self.table_sum + w * self.prev_estimate
-            )
-        _commit_table(self, batch, fresh, residual)
+            estimate = scale * residual_sum + self.table_sum + w * self.prev_estimate
+        _commit_table(self, batch, fresh, residual_sum)
         self.prev_point = np.array(x, dtype=float)
         self.prev_estimate = estimate
         return estimate
@@ -327,10 +325,11 @@ def _restart_coin(rng, epoch_length):
     return epoch_length == 1 or rng.random() < 1.0 / epoch_length
 
 
-def _commit_table(estimator, batch, fresh, residual):
+def _commit_table(estimator, batch, fresh, residual_sum):
     # saga and sarge: store the batch's fresh table rows, keep table_sum in
-    # step, and re-sum the table every _RESUM_INTERVAL calls against drift
-    estimator.table_sum = estimator.table_sum + residual.sum(axis=0)
+    # step with the batch's summed residual (the same sum the estimate
+    # used), and re-sum the table every _RESUM_INTERVAL calls against drift
+    estimator.table_sum = estimator.table_sum + residual_sum
     estimator.table[batch] = fresh
     estimator._calls_since_resum += 1
     if estimator._calls_since_resum >= _RESUM_INTERVAL:
