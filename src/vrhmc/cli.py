@@ -15,6 +15,12 @@ line per method with its chains' wall seconds, microseconds per
 chain-step, component-gradient queries per second, and the process's
 peak resident memory so far.
 
+A run's files reach the result directory only once every method has
+finished: they are written to a staging directory beside it and renamed
+in, and the names this CLI writes that the run did not produce are
+removed. A run that diverges, raises or is interrupted leaves the result
+directory as it was.
+
 Example config:
 
     experiment = synthetic
@@ -31,8 +37,11 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import resource
+import shutil
 import sys
+import tempfile
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -53,6 +62,9 @@ __all__ = [
 ]
 
 _PAPER_SCALE = {"steps": 10_010_000, "burn_in": 10_000, "stride": 1_000, "chains": 10}
+
+# every name a run writes into its result directory
+_RESULT_NAMES = (*(f"{kind}.csv" for kind in ESTIMATOR_KINDS), "comparison.txt", "summary.json")
 
 
 @dataclass
@@ -352,15 +364,30 @@ def _run_methods(config, model, record_q):
         yield method, ensemble, _method_summary(model, sampler_config, advisory, ensemble)
 
 
-def _write(out_dir, name, text):
+def _publish(out_dir, files, summary):
+    """Move a finished run's files and summary.json into out_dir.
+
+    files maps each name to its text. Everything is written to a staging
+    directory beside out_dir first; then the names in _RESULT_NAMES that
+    this run did not write are removed from out_dir, and the staged files
+    are renamed in, summary.json last. Other files in out_dir are left
+    alone. A failure before the renames leaves out_dir as it was.
+    """
+    files = {**files, "summary.json": json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"}
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
-
-
-def _write_summary(config, summary):
-    text = json.dumps(_jsonable(summary), indent=2, sort_keys=True)
-    _write(config.out, "summary.json", text + "\n")
+    out_dir.parent.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
+    try:
+        for name, text in files.items():
+            (staging / name).write_text(text)
+        out_dir.mkdir(exist_ok=True)
+        for name in _RESULT_NAMES:
+            if name not in files:
+                (out_dir / name).unlink(missing_ok=True)
+        for name in files:
+            os.replace(staging / name, out_dir / name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     return summary
 
 
@@ -401,7 +428,8 @@ def run_synthetic(config):
     """Compare the configured estimators on the quadratic target.
 
     Writes one CSV of across-chain mean series per method, a comparison
-    table, and summary.json into config.out; returns the summary dict.
+    table, and summary.json into config.out once every method has run;
+    returns the summary dict.
     """
     model, _ = _build_model(config, "synthetic")
     target_mean, target_cov = model.target_moments()
@@ -417,6 +445,7 @@ def run_synthetic(config):
         "methods": {},
     }
     table = [["method", "potential_mse", "gradient_mse", "final_w2", "mean_queries_per_step"]]
+    files = {}
     for method, ensemble, entry in _run_methods(config, model, config.record_q):
         # pooled is None below the d + 1 samples the tracker needs to fit
         w2 = None
@@ -435,11 +464,7 @@ def run_synthetic(config):
             ensemble.mean_q_values,
             w2,
         ]
-        _write(
-            config.out,
-            f"{method}.csv",
-            _csv("iter,queries,potential,grad_err_sq,q_k,w2", columns),
-        )
+        files[f"{method}.csv"] = _csv("iter,queries,potential,grad_err_sq,q_k,w2", columns)
         gradient_cell = (
             f"{entry['gradient_mse']:.6g}" if "gradient_mse" in entry else "off"
         )
@@ -453,15 +478,16 @@ def run_synthetic(config):
                 f"{queries:.3g}",
             ]
         )
-    _write(config.out, "comparison.txt", _comparison_table(table))
-    return _write_summary(config, summary)
+    files["comparison.txt"] = _comparison_table(table)
+    return _publish(config.out, files, summary)
 
 
 def run_logistic(config):
     """Compare the configured estimators on penalized logistic regression.
 
     Writes per-method CSVs (method,iter,queries,potential,nll,grad_err_sq)
-    and summary.json into config.out; returns the summary dict.
+    and summary.json into config.out once every method has run; returns
+    the summary dict.
     """
     model, (test_features, test_labels) = _build_model(config, "logistic")
     summary = {
@@ -475,6 +501,7 @@ def run_logistic(config):
         },
         "methods": {},
     }
+    files = {}
     # the logistic CSVs and summary have no q column, so no q is computed
     for method, ensemble, entry in _run_methods(config, model, record_q=False):
         # held-out NLL along the trace, averaged across chains
@@ -500,12 +527,8 @@ def run_logistic(config):
             nll_rows,
             ensemble.mean_grad_err_sq,
         ]
-        _write(
-            config.out,
-            f"{method}.csv",
-            _csv("method,iter,queries,potential,nll,grad_err_sq", columns),
-        )
-    return _write_summary(config, summary)
+        files[f"{method}.csv"] = _csv("method,iter,queries,potential,nll,grad_err_sq", columns)
+    return _publish(config.out, files, summary)
 
 
 def print_advisory(config, stream=None):
@@ -581,9 +604,12 @@ def main(argv=None):
     if args.command == "advisory":
         print_advisory(config)
         return 0
-    if args.command == "synthetic":
-        run_synthetic(config)
-    else:
-        run_logistic(config)
-    print(f"results written to {Path(config.out).resolve()}", file=sys.stderr)
+    run = run_synthetic if args.command == "synthetic" else run_logistic
+    out = Path(config.out).resolve()
+    try:
+        run(config)
+    except BaseException:
+        print(f"run stopped; no results written, {out} left as it was", file=sys.stderr)
+        raise
+    print(f"results written to {out}", file=sys.stderr)
     return 0

@@ -331,6 +331,73 @@ class TestSynthetic:
             assert re.search(r", peak RSS \d+\.\d MB$", line)
 
 
+class TestResultDirectory:
+    """A result directory holds one whole run's files, or the previous ones."""
+
+    @staticmethod
+    def snapshot(directory):
+        return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+    def first_run(self, tmp_path, methods="sg, saga"):
+        text = TINY_SYNTHETIC.replace("methods = full, sg", f"methods = {methods}")
+        path = write_config(tmp_path, text.replace("steps = 60", "steps = 300"))
+        out = tmp_path / "res"
+        assert main(["synthetic", "--config", str(path), "--out", str(out)]) == 0
+        return path, out
+
+    def test_divergent_rerun_leaves_the_previous_files(self, tmp_path, capsys):
+        path, out = self.first_run(tmp_path)
+        before = self.snapshot(out)
+        assert set(before) == {"sg.csv", "saga.csv", "comparison.txt", "summary.json"}
+        rerun = write_config(
+            tmp_path,
+            path.read_text().replace("steps = 300", "steps = 400") + "saga.step = 1000\n",
+            name="rerun.cfg",
+        )
+        capsys.readouterr()
+        with pytest.raises(sampler.ChainDivergence, match="^saga chain"):
+            main(["synthetic", "--config", str(rerun), "--out", str(out)])
+        assert self.snapshot(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["rerun.cfg", "res", "run.cfg"]
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("sg: ")  # sg finished, and still wrote nothing
+        assert err[-1] == f"run stopped; no results written, {out.resolve()} left as it was"
+
+    def test_interrupt_mid_method_leaves_the_previous_files(self, tmp_path, monkeypatch, capsys):
+        path, out = self.first_run(tmp_path)
+        before = self.snapshot(out)
+        real_run_chain, calls = sampler.run_chain, []
+
+        def interrupted(config, *args, **kwargs):
+            calls.append(config.estimator)
+            if calls == ["sg", "sg", "saga", "saga"]:  # saga's second chain
+                raise KeyboardInterrupt
+            return real_run_chain(config, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "run_chain", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            main(["synthetic", "--config", str(path), "--out", str(out), "--seed", "5"])
+        assert self.snapshot(out) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res", "run.cfg"]
+        assert capsys.readouterr().err.endswith(f"{out.resolve()} left as it was\n")
+
+    def test_rerun_with_fewer_methods_drops_their_stale_files(self, tmp_path):
+        path, out = self.first_run(tmp_path, methods="sg, saga, svrg")
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["synthetic", "--config", str(path), "--out", str(out), "--estimator", "sg"]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["synthetic", "--config", str(path), "--out", str(fresh), "--estimator", "sg"]) == 0
+        after, want = self.snapshot(out), self.snapshot(fresh)
+        assert after.pop("notes.txt") == b"kept\n"
+        assert set(after) == set(want) == {"sg.csv", "comparison.txt", "summary.json"}
+        # summary.json echoes the out directory, and nothing else differs
+        summaries = [json.loads(files.pop("summary.json")) for files in (after, want)]
+        for summary in summaries:
+            summary["config"].pop("out")
+        assert after == want and summaries[0] == summaries[1]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "res", "run.cfg"]
+
+
 class TestLogistic:
     @pytest.fixture
     def data_file(self, tmp_path):
