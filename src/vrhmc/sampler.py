@@ -361,7 +361,8 @@ def wasserstein_tracker(records, target_mean, target_cov):
     post-burn-in positions pooled across chains up to and including that
     row, and its Bures-Wasserstein distance to the target is returned.
     Rows before burn-in, or with fewer than d + 1 pooled samples, hold
-    NaN. Raises if even the full stream is too short to fit a covariance.
+    NaN. Raises if even the full stream is too short to fit a covariance,
+    or if a post-burn-in position is not finite.
 
     The fits come from running sums of the positions and their outer
     products, all rows at once, and one call of the stacked Bures kernel
@@ -401,6 +402,8 @@ def wasserstein_tracker(records, target_mean, target_cov):
     # a GaussianSummary fit symmetrizes once more; the pass is repeated so
     # every entry, overflowing ones included, keeps the per-row bits
     covs = 0.5 * (covs + covs.swapaxes(1, 2))
+    if np.isnan(covs).any():
+        raise ValueError("pooled post-burn-in positions are not finite")
 
     w2 = np.full(iterations.shape[0], np.nan)
     w2[fitted] = _bures_w2_rows(means, covs, target)

@@ -562,6 +562,18 @@ class TestWassersteinTrackerPin:
         assert any(negative), "no fit exercises the eigenvalue clip"
         self.assert_pinned(records, np.zeros(3), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_positions_raise_past_burn_in_only(self, bad):
+        rng = np.random.default_rng(15)
+        positions = rng.standard_normal((20, 2))
+        positions[2, 1] = bad
+        before = fake_record(positions, burn_in=3)
+        self.assert_pinned([before], np.zeros(2), np.eye(2))
+        after = fake_record(positions, burn_in=0)
+        for tracker in (wasserstein_tracker, oracles.wasserstein_tracker_reference):
+            with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+                tracker([after], np.zeros(2), np.eye(2))
+
     def test_nan_rows_before_burn_in_and_below_d_plus_one_samples(self):
         rng = np.random.default_rng(14)
         # rows 0-2 are pre-burn-in, rows 3-7 pool 1 to 5 samples < d + 1 = 6
