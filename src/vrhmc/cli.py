@@ -373,7 +373,8 @@ def _publish(out_dir, files, summary):
     are renamed in, summary.json last. Other files in out_dir are left
     alone. A failure before the renames leaves out_dir as it was.
     """
-    files = {**files, "summary.json": json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"}
+    summary_text = json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"
+    files = {**files, "summary.json": summary_text}
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))

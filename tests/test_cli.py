@@ -384,9 +384,10 @@ class TestResultDirectory:
     def test_rerun_with_fewer_methods_drops_their_stale_files(self, tmp_path):
         path, out = self.first_run(tmp_path, methods="sg, saga, svrg")
         (out / "notes.txt").write_text("kept\n")
-        assert main(["synthetic", "--config", str(path), "--out", str(out), "--estimator", "sg"]) == 0
         fresh = tmp_path / "fresh"
-        assert main(["synthetic", "--config", str(path), "--out", str(fresh), "--estimator", "sg"]) == 0
+        for target in (out, fresh):
+            argv = ["synthetic", "--config", str(path), "--out", str(target), "--estimator", "sg"]
+            assert main(argv) == 0
         after, want = self.snapshot(out), self.snapshot(fresh)
         assert after.pop("notes.txt") == b"kept\n"
         assert set(after) == set(want) == {"sg.csv", "comparison.txt", "summary.json"}
