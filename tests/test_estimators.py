@@ -268,6 +268,89 @@ class TestWhiteBoxFormulas:
         np.testing.assert_allclose(est.table[1], table[1], rtol=1e-14)
 
 
+def anchored_quadratic():
+    """A target whose anchors hold exact zeros, with a path through them.
+
+    At an anchor a component gradient is exactly zero, and a path point
+    of -0.0s against a +0.0 anchor makes the zeros signed; these are the
+    values on which a one-row sum and the row itself can differ in bits.
+    """
+    data = np.array(
+        [
+            [0.0, 0.0, 0.0],
+            [0.5, -1.0, 2.0],
+            [0.0, 1.0, 0.0],
+            [-1.5, 0.25, 0.0],
+            [3.0, -2.0, 1.0],
+        ]
+    )
+    precision = np.array([[2.0, -0.5, 0.3], [-0.5, 1.5, -0.2], [0.3, -0.2, 1.0]])
+    model = QuadraticPotential(data=data, precision=precision)
+    path = [
+        np.array([-0.0, -0.0, -0.0]),
+        data[1].copy(),
+        np.array([-0.0, 1.0, -0.0]),
+        data[1].copy(),
+        np.array([0.7, -0.3, 0.0]),
+        data[0].copy(),
+        data[3].copy(),
+    ]
+    # each point's own anchor first, then another component
+    batches = [0, 1, 2, 1, 4, 0, 3, 2, 0, 1, 3, 3, 0, 4]
+    return model, path, [np.array([i]) for i in batches]
+
+
+def take_rows(model, batch, x):
+    # gradient_batch written with take and a broadcast subtract
+    rows = (x - model.data.take(batch, axis=0)).dot(model.precision)
+    rows *= 2.0 / model.n_components
+    return rows
+
+
+def single_row_reference(est, x, draw):
+    """(estimate, table row, table_sum) of one b = 1 call by its formula,
+    summing the batch with rows.sum(axis=0), from the state before it."""
+    model, n = est.model, est.model.n_components
+    kind = est.kind
+    if kind == "sg":
+        return n * take_rows(model, draw, x).sum(axis=0), None, None
+    if kind == "svrg":
+        _, batch = draw
+        rows = take_rows(model, batch, x) - take_rows(model, batch, est.snapshot)
+        return n * rows.sum(axis=0) + est.snapshot_gradient, None, None
+    if kind == "sarah":
+        rows = take_rows(model, draw, x) - take_rows(model, draw, est.prev_point)
+        return n * rows.sum(axis=0) + est.prev_estimate, None, None
+    fresh = take_rows(model, draw, x)
+    if kind == "sarge":
+        w = 1.0 - 1 / n
+        fresh = fresh - w * take_rows(model, draw, est.prev_point)
+    residual = (fresh - est.table.take(draw, axis=0)).sum(axis=0)
+    estimate = n * residual + est.table_sum
+    if kind == "sarge":
+        estimate = estimate + w * est.prev_estimate
+    return estimate, fresh[0], est.table_sum + residual
+
+
+class TestSingleRowBits:
+    """b = 1 estimates against their rows.sum(axis=0) formulas, byte for byte,
+    on a path through exactly zero component gradients."""
+
+    @pytest.mark.parametrize("kind", ("sg", "svrg", "saga", "sarah", "sarge"))
+    def test_estimate_matches_batch_sum_formula(self, kind):
+        model, path, batches = anchored_quadratic()
+        est = make_estimator(kind, model, path[0], batch_size=1, epoch_length=10**6)
+        for step, batch in enumerate(batches):
+            x = path[step % len(path)]
+            draw = (False, batch) if kind == "svrg" else batch
+            want, row, table_sum = single_row_reference(est, x, draw)
+            got = est.estimate(x, draw)
+            assert got.tobytes() == want.tobytes(), (kind, step)
+            if row is not None:
+                assert est.table[batch[0]].tobytes() == row.tobytes(), (kind, step)
+                assert est.table_sum.tobytes() == table_sum.tobytes(), (kind, step)
+
+
 @pytest.mark.parametrize("kind", ("saga", "sarge"))
 class TestTableMaintenance:
     def test_running_sum_stays_exact(self, kind):

@@ -219,6 +219,36 @@ class TestQuadraticProductBits:
             assert model.potential_full(x) == want, name
 
 
+class TestQuadraticSingleIndex:
+    """gradient_batch on one index against the take expression, byte for byte."""
+
+    def test_matches_take_expression_bitwise(self):
+        data = np.array([[0.0, 0.0, 1.0], [0.5, -1.0, 2.0], [-0.0, 3.0, 0.0]])
+        precision = np.array([[2.0, -0.5, 0.3], [-0.5, 1.5, -0.2], [0.3, -0.2, 1.0]])
+        model = QuadraticPotential(data=data, precision=precision)
+        # the anchors themselves (exactly zero gradients), signed zeros, and
+        # a strided view
+        points = [*data, np.array([-0.0, -0.0, 1.0]), np.array([0.0, -0.0, -0.0]),
+                  np.array([4.0, 0.0, -1.0, 7.0, 0.25, 9.0])[::2]]
+        for x in points:
+            for i in (0, 1, 2, -1, -3):
+                want = (x - data.take([i], axis=0)).dot(precision)
+                want *= 2.0 / model.n_components
+                for batch in ([i], np.array([i])):
+                    got = model.gradient_batch(batch, x)
+                    assert got.shape == (1, 3)
+                    assert got.tobytes() == want.tobytes(), (x, i)
+
+    def test_out_of_range_single_index_raises(self):
+        model = random_quadratic(5, n=6, d=3)
+        x = np.zeros(3)
+        for i in (6, 7, -7):
+            with pytest.raises(IndexError):
+                model.gradient_batch([i], x)
+            with pytest.raises(IndexError):
+                model.gradient_batch(np.array([i]), x)
+
+
 class TestLogisticPotential:
     def test_gradients_match_finite_differences(self):
         model = random_logistic(0)
