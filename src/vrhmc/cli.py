@@ -217,6 +217,9 @@ def load_config(path=None, overrides=None):
     bad = [m for m in config.methods if m not in ESTIMATOR_KINDS]
     if bad:
         raise ValueError(f"unknown methods {bad}; choose from {ESTIMATOR_KINDS}")
+    repeated = sorted({m for m in config.methods if config.methods.count(m) > 1})
+    if repeated:
+        raise ValueError(f"methods lists {repeated} more than once")
     return config
 
 

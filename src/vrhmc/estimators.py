@@ -100,6 +100,10 @@ class GradientEstimator:
         self.model = model
         self.batch_size = int(batch_size)
         self.query_count = 0
+        # with b == N every estimator below reduces algebraically to the
+        # exact gradient; routing through gradient_full makes the collapse
+        # bit-for-bit rather than merely up to summation order
+        self._full_collapse = self.batch_size == model.n_components
 
     def draw(self, rng, steps):
         """The draws of the next `steps` estimate calls: here one batch each.
@@ -120,11 +124,6 @@ class GradientEstimator:
         """Return the gradient estimate at x, updating memory and queries."""
         raise NotImplementedError
 
-    def _full_collapse(self):
-        # with b == N every estimator below reduces algebraically to the
-        # exact gradient; routing through gradient_full makes the collapse
-        # bit-for-bit rather than merely up to summation order
-        return self.batch_size == self.model.n_components
 
 
 class MinibatchGradient(GradientEstimator):
@@ -134,10 +133,10 @@ class MinibatchGradient(GradientEstimator):
 
     def estimate(self, x, batch):
         self.query_count += len(batch)
-        if self._full_collapse():
+        if self._full_collapse:
             return self.model.gradient_full(x)
         scale = self.model.n_components / len(batch)
-        return scale * self.model.gradient_batch(batch, x).sum(axis=0)
+        return scale * _batch_sum(self.model.gradient_batch(batch, x))
 
 
 class SvrgEstimator(GradientEstimator):
@@ -179,7 +178,7 @@ class SvrgEstimator(GradientEstimator):
         correction = model.gradient_batch(batch, x)
         correction -= model.gradient_batch(batch, self.snapshot)
         scale = model.n_components / len(batch)
-        return scale * correction.sum(axis=0) + self.snapshot_gradient
+        return scale * _batch_sum(correction) + self.snapshot_gradient
 
 
 class SagaEstimator(GradientEstimator):
@@ -207,8 +206,8 @@ class SagaEstimator(GradientEstimator):
         model = self.model
         self.query_count += len(batch)
         fresh = model.gradient_batch(batch, x)
-        residual_sum = (fresh - self.table.take(batch, axis=0)).sum(axis=0)
-        if self._full_collapse():
+        residual_sum = _batch_sum(fresh - self.table.take(batch, axis=0))
+        if self._full_collapse:
             estimate = model.gradient_full(x)
         else:
             scale = model.n_components / len(batch)
@@ -258,7 +257,7 @@ class SarahEstimator(GradientEstimator):
             diff = model.gradient_batch(batch, x)
             diff -= model.gradient_batch(batch, self.prev_point)
             scale = model.n_components / len(batch)
-            estimate = scale * diff.sum(axis=0) + self.prev_estimate
+            estimate = scale * _batch_sum(diff) + self.prev_estimate
         self.prev_point = np.array(x, dtype=float)
         self.prev_estimate = estimate
         return estimate
@@ -307,8 +306,8 @@ class SargeEstimator(GradientEstimator):
         previous = model.gradient_batch(batch, self.prev_point)
         previous *= w
         fresh -= previous
-        residual_sum = (fresh - self.table.take(batch, axis=0)).sum(axis=0)
-        if self._full_collapse():
+        residual_sum = _batch_sum(fresh - self.table.take(batch, axis=0))
+        if self._full_collapse:
             estimate = model.gradient_full(x)
         else:
             scale = n / len(batch)
@@ -325,12 +324,25 @@ def _restart_coin(rng, epoch_length):
     return epoch_length == 1 or rng.random() < 1.0 / epoch_length
 
 
+def _batch_sum(rows):
+    # the batch rows summed over axis 0; one row is copied, not reduced.
+    # add.reduce starts from 0.0, so a one-row sum turns -0.0 into +0.0,
+    # and so does + 0.0: both keep every other value's bits (NaN included)
+    if len(rows) == 1:
+        return rows[0] + 0.0
+    return rows.sum(axis=0)
+
+
 def _commit_table(estimator, batch, fresh, residual_sum):
     # saga and sarge: store the batch's fresh table rows, keep table_sum in
     # step with the batch's summed residual (the same sum the estimate
     # used), and re-sum the table every _RESUM_INTERVAL calls against drift
     estimator.table_sum = estimator.table_sum + residual_sum
-    estimator.table[batch] = fresh
+    if len(batch) == 1:
+        # an integer index writes the row without fancy indexing's set-up
+        estimator.table[batch[0]] = fresh[0]
+    else:
+        estimator.table[batch] = fresh
     estimator._calls_since_resum += 1
     if estimator._calls_since_resum >= _RESUM_INTERVAL:
         estimator.table_sum = estimator.table.sum(axis=0)

@@ -212,8 +212,13 @@ class QuadraticPotential(PotentialModel):
 
     def gradient_batch(self, indices, x):
         x = self._check_point(x)
-        diffs = self.data.take(indices, axis=0)
-        np.subtract(x, diffs, out=diffs)
+        if len(indices) == 1:
+            # a basic-index row skips take's gather for the same values;
+            # an out-of-range index raises IndexError as take does
+            diffs = (x - self.data[indices[0]])[None]
+        else:
+            diffs = self.data.take(indices, axis=0)
+            np.subtract(x, diffs, out=diffs)
         # d x d products use ndarray.dot: the BLAS call of @ without
         # matmul's ufunc dispatch, which costs more than the flops at small d
         rows = diffs.dot(self.precision)

@@ -115,13 +115,14 @@ class SamplerConfig:
             )
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        if self.step <= 0.0:
+        # not > 0.0, unlike <= 0.0, also rejects NaN
+        if not self.step > 0.0:
             raise ValueError("step must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epoch_length is not None and self.epoch_length < 1:
             raise ValueError("epoch_length must be at least 1")
-        if self.gamma <= 0.0 or (self.xi is not None and self.xi <= 0.0):
+        if not self.gamma > 0.0 or (self.xi is not None and not self.xi > 0.0):
             raise ValueError("gamma and xi must be positive")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")

@@ -212,6 +212,11 @@ class TestLoadConfig:
         with pytest.raises(ValueError, match="unknown methods"):
             load_config(path)
 
+    def test_repeated_method_name(self, tmp_path):
+        path = write_config(tmp_path, "methods = sg, full, SG, saga\n")
+        with pytest.raises(ValueError, match=r"^methods lists \['sg'\] more than once$"):
+            load_config(path)
+
     def test_paper_scale_fills_only_unset_keys(self, tmp_path):
         path = write_config(tmp_path, "steps = 60\npaper_scale = true\n")
         config = load_config(path)
@@ -583,6 +588,16 @@ class TestFailBeforeSampling:
         assert capsys.readouterr().err == ""  # no method sampled
         with pytest.raises(ValueError, match=f"^{method}: {reason}$"):
             print_advisory(config, io.StringIO())
+
+    def test_nan_step_fails_naming_the_method(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        text = FIFTY_COMPONENTS.replace("full, sg, saga, sarge", "full, sarah")
+        path = write_config(tmp_path, text + "sarah.step = nan\n")
+        config = load_config(path, {"out": str(out)})
+        with pytest.raises(ValueError, match="^sarah: step must be positive$"):
+            run_synthetic(config)
+        assert not out.exists()
+        assert capsys.readouterr().err == ""  # full did not sample
 
 
 class TestMain:

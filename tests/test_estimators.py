@@ -15,6 +15,7 @@ import pytest
 
 from vrhmc.estimators import (
     _RESUM_INTERVAL,
+    _batch_sum,
     ESTIMATOR_KINDS,
     make_estimator,
     mseb_descriptor,
@@ -300,6 +301,20 @@ def anchored_quadratic():
     return model, path, [np.array([i]) for i in batches]
 
 
+def signed_zero_line():
+    """A one-dimensional target on which a component gradient is -0.0.
+
+    At d = 1 the product -0.0 * p keeps its sign through dot, so the path's
+    -0.0 points against the +0.0 anchor give -0.0 gradient rows, and
+    differences of them against +0.0 rows stay -0.0.
+    """
+    model = QuadraticPotential(data=[[0.0], [1.5], [-2.0]], precision=[[2.0]])
+    path = [np.array([0.0]), np.array([-0.0]), np.array([-0.0]), np.array([1.5]),
+            np.array([-0.0]), np.array([0.0]), np.array([-0.0])]
+    batches = [0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 1, 0]
+    return model, path, [np.array([i]) for i in batches]
+
+
 def take_rows(model, batch, x):
     # gradient_batch written with take and a broadcast subtract
     rows = (x - model.data.take(batch, axis=0)).dot(model.precision)
@@ -336,9 +351,24 @@ class TestSingleRowBits:
     """b = 1 estimates against their rows.sum(axis=0) formulas, byte for byte,
     on a path through exactly zero component gradients."""
 
+    def test_batch_sum_matches_axis_sum(self):
+        nan = np.nan
+        values = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.copysign(nan, 1.0), np.copysign(nan, -1.0),
+             5e-324, -5e-324, 2.5, -1e-300]
+        )
+        cases = [values[None], values[::-1][None], np.stack([values, -values]),
+                 np.stack([values, values[::-1], np.zeros_like(values)])]
+        for rows in cases:
+            with np.errstate(invalid="ignore"):  # inf + -inf across rows
+                got, want = _batch_sum(rows), rows.sum(axis=0)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), rows
+            assert not np.shares_memory(got, rows)
+
+    @pytest.mark.parametrize("target", (anchored_quadratic, signed_zero_line))
     @pytest.mark.parametrize("kind", ("sg", "svrg", "saga", "sarah", "sarge"))
-    def test_estimate_matches_batch_sum_formula(self, kind):
-        model, path, batches = anchored_quadratic()
+    def test_estimate_matches_batch_sum_formula(self, kind, target):
+        model, path, batches = target()
         est = make_estimator(kind, model, path[0], batch_size=1, epoch_length=10**6)
         for step, batch in enumerate(batches):
             x = path[step % len(path)]

@@ -1,5 +1,6 @@
 """Tests for the chain driver, ensembles, and convergence tracking."""
 
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -80,6 +81,13 @@ class TestConfigValidation:
             SamplerConfig(record_stride=0, **good)
         with pytest.raises(ValueError):
             SamplerConfig(n_chains=0, **good)
+
+    @pytest.mark.parametrize("field", ("step", "gamma", "xi"))
+    def test_rejects_nan_settings(self, field):
+        settings = dict(n_steps=10, step=0.1)
+        settings[field] = math.nan
+        with pytest.raises(ValueError, match="must be positive"):
+            SamplerConfig(**settings)
 
     def test_xi_defaults_to_inverse_smoothness(self):
         model = small_model()
