@@ -32,6 +32,11 @@ full index set, drawn from nothing, at b = N). estimate(x, draw) is the
 update and draws nothing, so a block of draws taken ahead holds exactly
 what the same calls would draw one at a time; sampler.run_chain takes one
 block per block of steps for every kind.
+
+One-row batches (b = 1) take a row path with the bits of the batch path:
+_batch_sum adds 0.0 to the row instead of reducing it, and _commit_table
+writes the table row by integer index. Each choice is made from the
+batch's own row count.
 """
 
 from __future__ import annotations
@@ -123,7 +128,6 @@ class GradientEstimator:
     def estimate(self, x, draw):
         """Return the gradient estimate at x, updating memory and queries."""
         raise NotImplementedError
-
 
 
 class MinibatchGradient(GradientEstimator):

@@ -554,7 +554,7 @@ class TestAdvisory:
 
 # N = 50 components; every method but the one a case names is valid
 FIFTY_COMPONENTS = """
-methods = full, sg, saga, sarge
+methods = full, sg, saga, sarah, sarge
 n_components = 50
 dimension = 2
 steps = 120
@@ -568,13 +568,14 @@ BAD_METHOD_CASES = [
     ("sarge", "sarge.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
     ("sarge", "sarge.steps = 50", "burn_in must be smaller than n_steps"),
     ("full", "full.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
+    ("sarah", "sarah.step = nan", "step must be positive"),
 ]
 
 
 class TestFailBeforeSampling:
     @pytest.mark.parametrize(
         "method,line,reason", BAD_METHOD_CASES,
-        ids=("sarge-batch", "sarge-steps", "full-batch"),
+        ids=("sarge-batch", "sarge-steps", "full-batch", "sarah-nan-step"),
     )
     def test_bad_method_setting_fails_naming_the_method(
         self, tmp_path, capsys, method, line, reason
@@ -588,16 +589,6 @@ class TestFailBeforeSampling:
         assert capsys.readouterr().err == ""  # no method sampled
         with pytest.raises(ValueError, match=f"^{method}: {reason}$"):
             print_advisory(config, io.StringIO())
-
-    def test_nan_step_fails_naming_the_method(self, tmp_path, capsys):
-        out = tmp_path / "out"
-        text = FIFTY_COMPONENTS.replace("full, sg, saga, sarge", "full, sarah")
-        path = write_config(tmp_path, text + "sarah.step = nan\n")
-        config = load_config(path, {"out": str(out)})
-        with pytest.raises(ValueError, match="^sarah: step must be positive$"):
-            run_synthetic(config)
-        assert not out.exists()
-        assert capsys.readouterr().err == ""  # full did not sample
 
 
 class TestMain:

@@ -56,38 +56,33 @@ def fake_record(positions, burn_in, iterations=None):
     )
 
 
+# (field values, the error they raise) on top of a valid config; the NaN
+# rows would pass a <= 0.0 check
+BAD_SAMPLER_FIELDS = [
+    (dict(estimator="sgd"), "unknown estimator"),
+    (dict(n_steps=-1), "n_steps must be nonnegative"),
+    (dict(step=0.0), "step must be positive"),
+    (dict(step=math.nan), "step must be positive"),
+    (dict(batch_size=0), "batch_size must be at least 1"),
+    (dict(epoch_length=0), "epoch_length must be at least 1"),
+    (dict(gamma=-1.0), "gamma and xi must be positive"),
+    (dict(gamma=math.nan), "gamma and xi must be positive"),
+    (dict(xi=0.0), "gamma and xi must be positive"),
+    (dict(xi=math.nan), "gamma and xi must be positive"),
+    (dict(burn_in=-1), "burn_in must be nonnegative"),
+    (dict(burn_in=10), "burn_in must be smaller than n_steps"),
+    (dict(record_stride=0), "record_stride must be at least 1"),
+    (dict(n_chains=0), "n_chains must be at least 1"),
+]
+
+
 class TestConfigValidation:
     def test_rejects_bad_fields(self):
-        good = dict(n_steps=10, step=0.1)
-        with pytest.raises(ValueError):
-            SamplerConfig(estimator="sgd", **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_steps=-1, step=0.1)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_steps=10, step=0.0)
-        with pytest.raises(ValueError):
-            SamplerConfig(batch_size=0, **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(epoch_length=0, **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(gamma=-1.0, **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(xi=0.0, **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(burn_in=-1, **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_steps=10, step=0.1, burn_in=10)
-        with pytest.raises(ValueError):
-            SamplerConfig(record_stride=0, **good)
-        with pytest.raises(ValueError):
-            SamplerConfig(n_chains=0, **good)
-
-    @pytest.mark.parametrize("field", ("step", "gamma", "xi"))
-    def test_rejects_nan_settings(self, field):
-        settings = dict(n_steps=10, step=0.1)
-        settings[field] = math.nan
-        with pytest.raises(ValueError, match="must be positive"):
-            SamplerConfig(**settings)
+        valid = dict(n_steps=10, step=0.1, burn_in=0)
+        SamplerConfig(**valid)
+        for bad, reason in BAD_SAMPLER_FIELDS:
+            with pytest.raises(ValueError, match=reason):
+                SamplerConfig(**{**valid, **bad})
 
     def test_xi_defaults_to_inverse_smoothness(self):
         model = small_model()
