@@ -21,13 +21,13 @@ parse_libsvm reads a path, an open text or binary handle, or a list of
 lines. It reads the source as bytes, so decoding does not depend on the
 locale, and works with whole-buffer array operations: it classifies the
 bytes and finds tokens and lines; it marks the plain tokens, a label
-[+-]?digits and a feature [+-]?digits:[+-]?digits, which the grammar
-always accepts, and steps the grammar automaton over the other tokens
-only; then it reads labels, indices and values as three streams from the
-token bounds and colons. A plain number of at most 15 digits is read by
-digit arithmetic, every other one by numpy's bytes-to-float cast. Python
-looks at single tokens only to word the error of a line an array check
-flagged.
+[+-]?digits and a feature [+-]?digits:[+-]?digits, which are always
+valid; it checks the colons, indices and bytes of the other tokens only;
+then it reads labels, indices and values as three streams from the token
+bounds and colons. A plain number of at most 15 digits is read by digit
+arithmetic, every other one by numpy's bytes-to-float cast, which
+refuses what float() refuses. Python looks at single tokens only to word
+the error of a line an array check or the cast flagged.
 
 Parsing fills the dense array directly, a split is a row take, and
 standardize fits and applies its transform to the split's arrays.
@@ -82,11 +82,9 @@ class LibsvmFormatError(ValueError):
 
 
 # Byte classes. _END separates tokens (space, tab, CR, LF); _BAD is any
-# byte outside printable ASCII, tab, CR and LF. Each letter of inf,
-# infinity and nan has a class of its own, numbered after _BAD; e is the
-# exponent mark.
-_END, _DIGIT, _SIGN, _DOT, _EXP, _COLON, _OTHER, _BAD = range(8)
-_WORD_LETTERS = "ifntya"
+# byte outside printable ASCII, tab, CR and LF, and "_" has a class of its
+# own, so that the line check tells the two apart.
+_END, _DIGIT, _SIGN, _COLON, _OTHER, _BAD, _UNDERSCORE = range(7)
 
 
 def _byte_classes():
@@ -96,55 +94,14 @@ def _byte_classes():
         (" \t\r\n", _END),
         ("0123456789", _DIGIT),
         ("+-", _SIGN),
-        (".", _DOT),
-        ("eE", _EXP),
         (":", _COLON),
+        ("_", _UNDERSCORE),
     ):
         table[list(chars.encode())] = cls
-    for k, letter in enumerate(_WORD_LETTERS):
-        table[list((letter + letter.upper()).encode())] = _BAD + 1 + k
     return table
 
 
 _BYTE_CLASS = _byte_classes()
-
-# The token grammar as an automaton over byte classes, each class named by
-# a byte of it ("0" any digit, "+" either sign, " " the end of the token).
-# A label starts in "float", a feature token in "index". Every byte is one
-# step, and state 0 (reject) and 1 (accept) absorb.
-_RULES = {
-    # the index as int() reads it, then the colon
-    "index": {"+": "index sign", "0": "index digits"},
-    "index sign": {"0": "index digits"},
-    "index digits": {"0": "index digits", ":": "float"},
-    # a number as float() reads it; the words follow below
-    "float": {"+": "sign", "0": "int", ".": "point", "i": "i", "n": "n"},
-    "sign": {"0": "int", ".": "point", "i": "i", "n": "n"},
-    "int": {"0": "int", ".": "fraction", "e": "e", " ": "accept"},
-    "point": {"0": "fraction"},
-    "fraction": {"0": "fraction", "e": "e", " ": "accept"},
-    "e": {"+": "exponent sign", "0": "exponent"},
-    "exponent sign": {"0": "exponent"},
-    "exponent": {"0": "exponent", " ": "accept"},
-}
-
-
-def _automaton():
-    rules = {state: dict(moves) for state, moves in _RULES.items()}
-    for word in ("inf", "infinity", "nan"):
-        for k in range(1, len(word)):
-            rules.setdefault(word[:k], {})[word[k]] = word[: k + 1]
-        rules.setdefault(word, {})[" "] = "accept"
-    states = ["reject", "accept", *rules]
-    table = np.zeros((len(states), _BAD + 1 + len(_WORD_LETTERS)), dtype=np.uint8)
-    table[1] = 1
-    for state, moves in rules.items():
-        for char, target in moves.items():
-            table[states.index(state), _BYTE_CLASS[ord(char)]] = states.index(target)
-    return table, states.index("float"), states.index("index")
-
-
-_NEXT, _LABEL_START, _INDEX_START = _automaton()
 
 
 def _read_bytes(source):
@@ -199,7 +156,7 @@ def _plain(classes, starts, ends, is_label):
     """Whether each token is plain.
 
     A plain label is [+-]?digits and a plain feature token
-    [+-]?digits:[+-]?digits; the grammar accepts both.
+    [+-]?digits:[+-]?digits; both are always valid.
     """
     # A sign after a token start or a colon and before a digit weighs
     # nothing, like a digit; a colon after a digit and before another byte
@@ -226,28 +183,36 @@ def _plain(classes, starts, ends, is_label):
     return np.where(is_label, weight == 0, weight == 1) & (ends - starts < 128)
 
 
-def _first_rejected(classes, starts, is_label, plain):
-    """Index of the first token the grammar rejects, or the token count.
+def _first_rejected(classes, starts, ends, is_label, plain):
+    """Index of the first token refused before reading, or the token count.
 
-    Only the tokens that are not plain are stepped.
+    Only the tokens that are not plain are looked at. One is refused if it
+    holds a byte outside printable ASCII, tab, CR and LF or a "_", if it is
+    a label holding a colon or a feature token without exactly one, or if
+    its index is not [+-]?digits. The colons then line up with the feature
+    tokens, and every index reads as digits; the bytes-to-float cast that
+    reads the labels and values checks them.
     """
     token = np.flatnonzero(~plain)
-    state = np.full(token.size, _INDEX_START, dtype=np.uint8)
-    state[is_label[token]] = _LABEL_START
-    position = starts[token]
-    first = starts.size
-    while state.size:
-        state = _NEXT[state, classes.take(position, mode="clip")]
-        position += 1
-        done = state < 2
-        # drop finished tokens once they are half of those left
-        if 2 * np.count_nonzero(done) >= state.size:
-            rejected = token[state == 0]
-            if rejected.size:
-                first = min(first, int(rejected[0]))
-            live = ~done
-            state, position, token = state[live], position[live], token[live]
-    return first
+    if not token.size:
+        return starts.size
+    first, last, feature = starts[token], ends[token], ~is_label[token]
+    # a byte of class _BAD or _UNDERSCORE weighs 2 in _plain, so its token
+    # is one of these
+    refused = np.zeros(token.size, dtype=bool)
+    refused[np.searchsorted(first, np.flatnonzero(classes >= _BAD), "right") - 1] = True
+    # step over each index's digits, after its sign; a colon must end them
+    head = first[feature] + (classes[first[feature]] == _SIGN)
+    stop, live = head.copy(), np.arange(head.size)
+    while live.size:
+        live = live[classes[stop[live]] == _DIGIT]
+        stop[live] += 1
+    refused[feature] |= (stop == head) | (classes[stop] != _COLON)
+    colons = np.flatnonzero(classes == _COLON)
+    count = np.searchsorted(colons, last) - np.searchsorted(colons, first)
+    refused |= count != feature
+    rejected = token[refused]
+    return int(rejected[0]) if rejected.size else starts.size
 
 
 # at most this many digits sum exactly in floats: every partial sum is an
@@ -256,12 +221,14 @@ _FAST_DIGITS = 15
 
 
 def _numbers(text, first, last, plain):
-    """The numbers text[first:last], as float() reads them.
+    """The numbers text[first:last] as float() reads them, and where it fails.
 
     A plain number, [+-]?digits with at most _FAST_DIGITS digits, is read
     by Horner's rule over its digit columns in floats; the sign then
     negates the float, so -0 reads -0.0. Every other number goes through
-    numpy's bytes-to-float cast, one length at a time.
+    numpy's bytes-to-float cast, one length at a time, which refuses what
+    float() refuses. Returns the numbers and a list of the positions of
+    every length group the cast refused; their numbers are left at 0.
     """
     out = np.zeros(first.size)
     lead = text[first]
@@ -281,11 +248,16 @@ def _numbers(text, first, last, plain):
     np.negative(out, out=out, where=fast & negative)
     other = np.flatnonzero(~fast)
     width = last[other] - first[other]
+    failed = []
     for w in np.unique(width):
         group = other[width == w]
         chars = text[first[group, None] + np.arange(w)]
-        out[group] = chars.view(f"S{w}").ravel().astype(float)
-    return out
+        try:
+            # an empty value (w = 0) fails the view as well
+            out[group] = chars.view(f"S{w}").ravel().astype(float)
+        except ValueError:
+            failed.append(group)
+    return out, failed
 
 
 # the pairs are read this many tokens at a time, so that their
@@ -294,13 +266,15 @@ _BLOCK_TOKENS = 65536
 
 
 def _pairs(text, starts, ends, is_feature, plain):
-    """The index and value of every feature token, as two arrays.
+    """The index and value of every feature token, and where values failed.
 
-    Every token given passed the grammar: a label holds no colon, a feature
-    token one, and its index is plain.
+    Every token given passed _first_rejected: a label holds no colon, a
+    feature token one, and its index is [+-]?digits. Returns the two
+    arrays and a list of the positions of the values the cast refused.
     """
     n_pairs = np.count_nonzero(is_feature)
     index, values = np.empty(n_pairs), np.empty(n_pairs)
+    failed = []
     done = 0
     for lo in range(0, starts.size, _BLOCK_TOKENS):
         block = slice(lo, lo + _BLOCK_TOKENS)
@@ -309,11 +283,12 @@ def _pairs(text, starts, ends, is_feature, plain):
         colons = np.flatnonzero(text[starts[lo] : ends[block][-1]] == ord(":"))
         colons += starts[lo]
         pairs = slice(done, done + colons.size)
-        index[pairs] = _numbers(text, first, colons, np.ones(colons.size, dtype=bool))
+        index[pairs] = _numbers(text, first, colons, np.ones_like(colons, bool))[0]
         colons += 1
-        values[pairs] = _numbers(text, colons, last, plain[block][feature])
+        values[pairs], refused = _numbers(text, colons, last, plain[block][feature])
+        failed.extend(group + done for group in refused)
         done = pairs.stop
-    return index, values
+    return index, values, failed
 
 
 def _strict(convert, text):
@@ -416,14 +391,16 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     byte outside printable ASCII, tab, CR and LF (Unicode digits and
     spaces), and numbers written with "_" separators (1_0).
 
-    The grammar automaton steps only the tokens that are not plain (a
-    plain label is [+-]?digits, a plain feature token
-    [+-]?digits:[+-]?digits); the first token it rejects is the first
-    rejected token overall. Labels, indices and values are then read as
-    three streams, the (index, value) pairs in blocks of tokens. A plain
-    number of at most 15 digits is summed from its digits in floats, every
-    sum exact below 2**53, and negated as a float, so -0 reads -0.0; every
-    other number goes through numpy's bytes-to-float cast.
+    Only the tokens that are not plain (a plain label is [+-]?digits, a
+    plain feature token [+-]?digits:[+-]?digits) are checked before
+    reading, for their bytes, colons and index. The rows before the first
+    token refused are read as three streams, the (index, value) pairs in
+    blocks of tokens. A plain number of at most 15 digits is summed from
+    its digits in floats, every sum exact below 2**53, and negated as a
+    float, so -0 reads -0.0; every other number goes through numpy's
+    bytes-to-float cast, which refuses what float() refuses. The rows the
+    cast refused or an index check flagged, and the refused token's row,
+    then go through the line check in order; the first error found wins.
     """
     text = _read_bytes(source)
     classes, starts, ends, row_token, row_line = _tokens(text)
@@ -431,9 +408,9 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     is_label = np.zeros(n_tokens, dtype=bool)
     is_label[row_token] = True
     plain = _plain(classes, starts, ends, is_label)
-    rejected = _first_rejected(classes, starts, is_label, plain)
+    rejected = _first_rejected(classes, starts, ends, is_label, plain)
     del classes
-    # the rows before the rejected token's row passed the grammar
+    # the rows before the rejected token's row are read
     n_rows = row_token.size
     if rejected < n_tokens:
         n_rows = int(np.searchsorted(row_token, rejected, "right")) - 1
@@ -443,8 +420,8 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     row_end = ends[np.append(row_token, n_tokens)[1:] - 1]
     # a row is its label then (index, value) pairs, read as three streams
     label = row_token[:n_rows]
-    labels = _numbers(text, row_start[:n_rows], ends[label], plain[label])
-    index, values = _pairs(
+    labels, label_failed = _numbers(text, row_start[:n_rows], ends[label], plain[label])
+    index, values, value_failed = _pairs(
         text, starts[:limit], ends[:limit], ~is_label[:limit], plain[:limit]
     )
     del starts, ends, is_label, plain
@@ -460,14 +437,18 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     stalls[heads - 1] = False  # a row's first index has no predecessor
     flagged[1:] |= stalls
     suspects = np.searchsorted(row_feature, np.flatnonzero(flagged), "right") - 1
-    suspects = np.unique(suspects).tolist()
+    # The rows whose numbers the cast refused, and the row of the rejected
+    # token, must fail the line check as well.
+    failing = [row_feature.searchsorted(k, "right") - 1 for k in value_failed]
+    failing += label_failed
     if n_rows < row_token.size:
-        suspects.append(n_rows)  # the row the grammar rejected
+        failing.append([n_rows])
     exact = []
-    for row in suspects:
+    for row in np.unique(np.concatenate([suspects, *failing])).tolist():
         exact.append(_check_line(text[row_start[row] : row_end[row]], row_line[row]))
-    if n_rows < row_token.size:
-        raise RuntimeError(f"line {row_line[n_rows]}: rejected, but no error found")
+    if failing:
+        row = min(int(np.min(rows)) for rows in failing)
+        raise RuntimeError(f"line {row_line[row]}: rejected, but no error found")
 
     finite = np.isfinite(values)
     if not finite.all():
@@ -524,6 +505,8 @@ def train_test_split(dataset, train_fraction, seed):
     must end up non-empty.
     """
     n = dataset.n_rows
+    if not 0.0 < train_fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     n_train = int(round(train_fraction * n))
     if not 0 < n_train < n:
         raise ValueError(

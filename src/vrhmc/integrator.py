@@ -63,8 +63,8 @@ class DynamicsParams:
 
     def __post_init__(self):
         for name in ("gamma", "xi", "step"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
     @property
     def delta(self):

@@ -286,8 +286,8 @@ class LogisticPotential(PotentialModel):
             raise ValueError(f"labels have shape {labels.shape}, expected ({n},)")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must take values in {-1, +1}")
-        if ridge < 0.0:
-            raise ValueError("ridge weight must be nonnegative")
+        if not 0.0 <= ridge < math.inf:
+            raise ValueError("ridge weight must be nonnegative and finite")
         # A^T A and A A^T share their nonzero eigenvalues, so decompose the
         # smaller one; initial=0.0 covers an empty design
         gram = features.T @ features if d <= n else features @ features.T

@@ -115,15 +115,17 @@ class SamplerConfig:
             )
         if self.n_steps < 0:
             raise ValueError("n_steps must be nonnegative")
-        # not > 0.0, unlike <= 0.0, also rejects NaN
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        # the negated range test also rejects NaN
+        if not 0.0 < self.step < np.inf:
+            raise ValueError("step must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.epoch_length is not None and self.epoch_length < 1:
             raise ValueError("epoch_length must be at least 1")
-        if not self.gamma > 0.0 or (self.xi is not None and not self.xi > 0.0):
-            raise ValueError("gamma and xi must be positive")
+        if not 0.0 < self.gamma < np.inf or (
+            self.xi is not None and not 0.0 < self.xi < np.inf
+        ):
+            raise ValueError("gamma and xi must be positive and finite")
         if self.burn_in < 0:
             raise ValueError("burn_in must be nonnegative")
         if self.n_steps > 0 and self.burn_in >= self.n_steps:

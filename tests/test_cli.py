@@ -568,14 +568,16 @@ BAD_METHOD_CASES = [
     ("sarge", "sarge.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
     ("sarge", "sarge.steps = 50", "burn_in must be smaller than n_steps"),
     ("full", "full.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
-    ("sarah", "sarah.step = nan", "step must be positive"),
+    ("sarah", "sarah.step = nan", "step must be positive and finite"),
+    ("sarah", "sarah.step = inf", "step must be positive and finite"),
 ]
 
 
 class TestFailBeforeSampling:
     @pytest.mark.parametrize(
         "method,line,reason", BAD_METHOD_CASES,
-        ids=("sarge-batch", "sarge-steps", "full-batch", "sarah-nan-step"),
+        ids=("sarge-batch", "sarge-steps", "full-batch", "sarah-nan-step",
+             "sarah-inf-step"),
     )
     def test_bad_method_setting_fails_naming_the_method(
         self, tmp_path, capsys, method, line, reason

@@ -505,6 +505,72 @@ def test_value_tokens_read_like_float():
     np.testing.assert_array_equal(data.features.reshape(-1).view(np.uint64), want.view(np.uint64))
 
 
+def _decimal_document(edits, n_rows=3000):
+    """Rows of a 0/1 label and three values, every token five bytes wide.
+
+    Every token is not plain, so each label and value goes through the
+    bytes-to-float cast, and all of one kind fall in one length group.
+    edits maps a row to the position of a token and the text replacing it.
+    """
+    rng = np.random.default_rng(4096)
+    lines = []
+    for k, row in enumerate(rng.uniform(1.0, 9.0, (n_rows, 3))):
+        tokens = [f"{k % 2}.000"] + [f"{j + 1}:{v:.3f}" for j, v in enumerate(row)]
+        if k in edits:
+            position, token = edits[k]
+            tokens[position] = token
+        lines.append(" ".join(tokens))
+    return "\n".join(lines) + "\n"
+
+
+class TestCheckedByTheCast:
+    """A token that splits right but holds no number fails in the cast."""
+
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            # one bad number among thousands of its width
+            {2990: (2, "2:3.1.4")},
+            {2990: (3, "3:1e+5x")},
+            {2999: (3, "3:nan()")},
+            {2995: (0, "1.0.0")},
+            {2995: (0, "1e+5x")},
+            # colons among tokens that are not plain
+            {2990: (0, "1:000")},
+            {2990: (2, "2:0.5:1")},
+            {2990: (2, "2::0.5")},
+            # a label with a colon and a feature token without one leave
+            # as many colons as feature tokens
+            {2990: (0, "1:000"), 2992: (2, "0.500")},
+            {2980: (3, "3:1.2.3"), 2990: (2, "2:0.5:1")},
+            {2980: (2, "2:0.5:1"), 2990: (3, "3:1.2.3")},
+            {2980: (3, "9x:1.000"), 2990: (0, "1:000")},
+        ],
+        ids=["value", "value 1e", "value last row", "label", "label 1e",
+             "label colon", "two colons", "double colon", "colons balance",
+             "cast first", "colons first", "bad index first"],
+    )
+    def test_the_first_bad_line_wins(self, edits, tmp_path):
+        result = assert_matches_reference(_decimal_document(edits), tmp_path)
+        assert result[0] is LibsvmFormatError
+        assert result[1].startswith(f"line {min(edits) + 1}")
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("1 1:1\n-1 1:1e\n", 2),
+            ("1e 1:1\n", 1),
+            ("1 1:1\n-1 1:1:1\n", 2),
+            (_decimal_document({49: (1, "1:1.2.3")}, n_rows=50), 1),
+        ],
+        ids=["value", "label", "rejected before reading", "refused group"],
+    )
+    def test_a_line_check_that_finds_nothing_raises(self, text, line, monkeypatch):
+        monkeypatch.setattr(dataio, "_check_line", lambda line, lineno: 1)
+        with pytest.raises(RuntimeError, match=f"^line {line}: rejected, but no error found$"):
+            parse_libsvm(text.splitlines())
+
+
 class TestNarrowing:
     """Inputs the per-token reference accepts that parse_libsvm refuses."""
 
@@ -749,10 +815,15 @@ class TestSplit:
     def test_rejects_degenerate_fractions(self):
         rng = np.random.default_rng(3)
         dataset = random_dataset(rng, 4, 2)
-        with pytest.raises(ValueError):
+        outside = r"^train_fraction must be in \(0, 1\), got "
+        with pytest.raises(ValueError, match=outside + "0.0$"):
             train_test_split(dataset, 0.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=outside + "1.0$"):
             train_test_split(dataset, 1.0, seed=0)
+        with pytest.raises(ValueError, match=outside + "nan$"):
+            train_test_split(dataset, float("nan"), seed=0)
+        with pytest.raises(ValueError, match="^train_fraction=0.1 leaves an empty split for n=4$"):
+            train_test_split(dataset, 0.1, seed=0)
 
 
 class TestStandardize:

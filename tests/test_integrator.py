@@ -157,6 +157,12 @@ class TestNoiseCoefficients:
             with pytest.raises(ValueError):
                 DynamicsParams(**bad)
 
+    @pytest.mark.parametrize("name", ("gamma", "xi", "step"))
+    @pytest.mark.parametrize("value", (np.nan, np.inf))
+    def test_rejects_non_finite_parameters(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite$"):
+            DynamicsParams(**{**dict(gamma=1.0, xi=1.0, step=0.1), name: value})
+
 
 class TestStep:
     """The noise blocks and the update that run_chain applies each step."""

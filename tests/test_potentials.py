@@ -360,6 +360,11 @@ class TestLogisticPotential:
         with pytest.raises(ValueError):
             LogisticPotential(good, np.ones(3), ridge=-0.1)
 
+    @pytest.mark.parametrize("ridge", (-0.1, np.nan, np.inf))
+    def test_rejects_a_ridge_that_is_negative_or_not_finite(self, ridge):
+        with pytest.raises(ValueError, match="^ridge weight must be nonnegative and finite$"):
+            LogisticPotential(np.ones((3, 2)), np.ones(3), ridge=ridge)
+
 
 class TestGradientRows:
     @pytest.mark.parametrize("d", (1, 2, 5, 20, 64))

@@ -63,12 +63,15 @@ BAD_SAMPLER_FIELDS = [
     (dict(n_steps=-1), "n_steps must be nonnegative"),
     (dict(step=0.0), "step must be positive"),
     (dict(step=math.nan), "step must be positive"),
+    (dict(step=math.inf), "step must be positive and finite"),
     (dict(batch_size=0), "batch_size must be at least 1"),
     (dict(epoch_length=0), "epoch_length must be at least 1"),
     (dict(gamma=-1.0), "gamma and xi must be positive"),
     (dict(gamma=math.nan), "gamma and xi must be positive"),
+    (dict(gamma=math.inf), "gamma and xi must be positive and finite"),
     (dict(xi=0.0), "gamma and xi must be positive"),
     (dict(xi=math.nan), "gamma and xi must be positive"),
+    (dict(xi=math.inf), "gamma and xi must be positive and finite"),
     (dict(burn_in=-1), "burn_in must be nonnegative"),
     (dict(burn_in=10), "burn_in must be smaller than n_steps"),
     (dict(record_stride=0), "record_stride must be at least 1"),
