@@ -227,8 +227,9 @@ def _numbers(text, first, last, plain):
     by Horner's rule over its digit columns in floats; the sign then
     negates the float, so -0 reads -0.0. Every other number goes through
     numpy's bytes-to-float cast, one length at a time, which refuses what
-    float() refuses. Returns the numbers and a list of the positions of
-    every length group the cast refused; their numbers are left at 0.
+    float() refuses. Returns the numbers and, for every length group the
+    cast refused, the positions of its first token and of its first token
+    the cast refuses; the group's numbers are left at 0.
     """
     out = np.zeros(first.size)
     lead = text[first]
@@ -256,8 +257,25 @@ def _numbers(text, first, last, plain):
             # an empty value (w = 0) fails the view as well
             out[group] = chars.view(f"S{w}").ravel().astype(float)
         except ValueError:
-            failed.append(group)
+            failed.append(group[[0, _first_refused(chars, w)]])
     return out, failed
+
+
+def _first_refused(chars, width):
+    """Index of the first row of chars, a refused cast group, the cast refuses.
+
+    Halving: the cast of the lower half tells which half holds the first
+    refused row, so the search costs about one more cast of the group.
+    """
+    lo, hi = 0, len(chars)  # chars[lo:hi] holds the first refused row
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            chars[lo:mid].view(f"S{width}").astype(float)
+            lo = mid
+        except ValueError:
+            hi = mid
+    return lo
 
 
 # the pairs are read this many tokens at a time, so that their
@@ -270,7 +288,8 @@ def _pairs(text, starts, ends, is_feature, plain):
 
     Every token given passed _first_rejected: a label holds no colon, a
     feature token one, and its index is [+-]?digits. Returns the two
-    arrays and a list of the positions of the values the cast refused.
+    arrays and, per value group the cast refused, the pair positions
+    _numbers gives.
     """
     n_pairs = np.count_nonzero(is_feature)
     index, values = np.empty(n_pairs), np.empty(n_pairs)
@@ -398,9 +417,11 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     blocks of tokens. A plain number of at most 15 digits is summed from
     its digits in floats, every sum exact below 2**53, and negated as a
     float, so -0 reads -0.0; every other number goes through numpy's
-    bytes-to-float cast, which refuses what float() refuses. The rows the
-    cast refused or an index check flagged, and the refused token's row,
-    then go through the line check in order; the first error found wins.
+    bytes-to-float cast, which refuses what float() refuses. In a length
+    group the cast refused, halving finds the first number it refuses.
+    That number's row, the rows an index check flagged, and the refused
+    token's row then go through the line check in order; the first error
+    found wins.
     """
     text = _read_bytes(source)
     classes, starts, ends, row_token, row_line = _tokens(text)
@@ -437,14 +458,17 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     stalls[heads - 1] = False  # a row's first index has no predecessor
     flagged[1:] |= stalls
     suspects = np.searchsorted(row_feature, np.flatnonzero(flagged), "right") - 1
-    # The rows whose numbers the cast refused, and the row of the rejected
-    # token, must fail the line check as well.
+    # Per group the cast refused, failing holds the row of its first number
+    # and the row of its first refused number, which must fail the line
+    # check; so must the rejected token's row. Any other bad row is flagged
+    # on its own, so the first bad line still wins.
     failing = [row_feature.searchsorted(k, "right") - 1 for k in value_failed]
     failing += label_failed
     if n_rows < row_token.size:
         failing.append([n_rows])
     exact = []
-    for row in np.unique(np.concatenate([suspects, *failing])).tolist():
+    checked = np.concatenate([suspects, *(rows[-1:] for rows in failing)])
+    for row in np.unique(checked).tolist():
         exact.append(_check_line(text[row_start[row] : row_end[row]], row_line[row]))
     if failing:
         row = min(int(np.min(rows)) for rows in failing)

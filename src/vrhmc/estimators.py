@@ -68,9 +68,24 @@ ESTIMATOR_KINDS = ("full", "sg", "svrg", "saga", "sarah", "sarge")
 _RESUM_INTERVAL = 10_000
 
 
-def _check_batch_size(n, b):
-    if not 1 <= b <= n:
-        raise ValueError(f"batch_size must be in [1, {n}], got {b}")
+def _check_kind(kind):
+    """Refuse a kind that is not one of ESTIMATOR_KINDS as written."""
+    if kind not in ESTIMATOR_KINDS:
+        raise ValueError(f"unknown estimator {kind!r}; choose from {ESTIMATOR_KINDS}")
+
+
+def _check_count(name, value, low=1, high=None):
+    """value, if it is an int or numpy integer (not a bool) in [low, high],
+    or in [low, inf) when high is None."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        rule = "an integer"
+    elif low <= value and (high is None or value <= high):
+        return value
+    elif high is not None:
+        rule = f"in [{low}, {high}]"
+    else:
+        rule = "nonnegative" if low == 0 else f"at least {low}"
+    raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def sample_batch(rng, n_components, batch_size):
@@ -80,7 +95,7 @@ def sample_batch(rng, n_components, batch_size):
     consuming random draws, so full-batch runs stay aligned with
     full-gradient runs (sg at b = N) that share a noise stream.
     """
-    _check_batch_size(n_components, batch_size)
+    _check_count("batch_size", batch_size, 1, n_components)
     if batch_size == n_components:
         return np.arange(n_components)
     if batch_size == 1:
@@ -101,7 +116,7 @@ class GradientEstimator:
     kind = "base"
 
     def __init__(self, model, batch_size=1):
-        _check_batch_size(model.n_components, batch_size)
+        _check_count("batch_size", batch_size, 1, model.n_components)
         self.model = model
         self.batch_size = int(batch_size)
         self.query_count = 0
@@ -358,34 +373,23 @@ def _resolve_epoch(n_components, batch_size, epoch_length):
     # MSEB descriptors alike: epoch_length if given, else N/b
     if epoch_length is None:
         return max(1, round(n_components / batch_size))
-    epoch_length = int(epoch_length)
-    if epoch_length < 1:
-        raise ValueError(f"epoch_length must be >= 1, got {epoch_length}")
-    return epoch_length
+    return int(_check_count("epoch_length", epoch_length))
 
 
 def make_estimator(kind, model, x0, batch_size=1, epoch_length=None):
     """Construct an estimator by kind name, initialized at x0."""
-    kind = kind.lower()
+    _check_kind(kind)
     x0 = model._check_point(x0)
-    if kind == "full":
+    if kind in ("full", "sg"):
         # the exact gradient is the minibatch estimator at b = N
-        return MinibatchGradient(model, batch_size=model.n_components)
-    if kind == "sg":
-        return MinibatchGradient(model, batch_size=batch_size)
-    if kind == "svrg":
-        return SvrgEstimator(
-            model, x0, batch_size=batch_size, epoch_length=epoch_length
+        return MinibatchGradient(
+            model, batch_size=model.n_components if kind == "full" else batch_size
         )
-    if kind == "saga":
-        return SagaEstimator(model, x0, batch_size=batch_size)
-    if kind == "sarah":
-        return SarahEstimator(
-            model, x0, batch_size=batch_size, epoch_length=epoch_length
-        )
-    if kind == "sarge":
-        return SargeEstimator(model, x0, batch_size=batch_size)
-    raise ValueError(f"unknown estimator kind {kind!r}; choose from {ESTIMATOR_KINDS}")
+    if kind in ("svrg", "sarah"):
+        cls = SvrgEstimator if kind == "svrg" else SarahEstimator
+        return cls(model, x0, batch_size=batch_size, epoch_length=epoch_length)
+    cls = SagaEstimator if kind == "saga" else SargeEstimator
+    return cls(model, x0, batch_size=batch_size)
 
 
 def q_metric(model, x_current, x_next):
@@ -435,10 +439,9 @@ class MsebDescriptor:
 
 def mseb_descriptor(kind, n_components, batch_size=1, epoch_length=None):
     """MSEB constants for an estimator kind at the given configuration."""
-    kind = kind.lower()
-    n = int(n_components)
-    b = int(batch_size)
-    _check_batch_size(n, b)
+    _check_kind(kind)
+    n = _check_count("n_components", n_components)
+    b = int(_check_count("batch_size", batch_size, 1, n))
     if kind == "full":
         return MsebDescriptor(kind, m1=0.0, m2=0.0, rho_m=1.0, rho_f=1.0, rho_b=1.0)
     if kind == "sg":
@@ -460,13 +463,7 @@ def mseb_descriptor(kind, n_components, batch_size=1, epoch_length=None):
         return MsebDescriptor(
             kind, m1=1.0, m2=0.0, rho_m=1.0 / p, rho_f=1.0, rho_b=1.0 / p
         )
-    if kind == "sarge":
-        return MsebDescriptor(
-            kind,
-            m1=12.0,
-            m2=(27.0 + 12.0 * b) / n,
-            rho_m=b / (2.0 * n),
-            rho_f=b / (2.0 * n),
-            rho_b=b / n,
-        )
-    raise ValueError(f"unknown estimator kind {kind!r}; choose from {ESTIMATOR_KINDS}")
+    rho = b / (2.0 * n)  # sarge
+    return MsebDescriptor(
+        kind, m1=12.0, m2=(27.0 + 12.0 * b) / n, rho_m=rho, rho_f=rho, rho_b=b / n
+    )

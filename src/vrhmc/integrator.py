@@ -53,6 +53,12 @@ __all__ = [
 _TAYLOR_THRESHOLD = 5e-2
 
 
+def _check_positive(name, value):
+    """Refuse a value that is not positive and finite, NaN included."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class DynamicsParams:
     """Friction gamma, inverse velocity-scale xi, and step size h."""
@@ -63,8 +69,7 @@ class DynamicsParams:
 
     def __post_init__(self):
         for name in ("gamma", "xi", "step"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+            _check_positive(name, getattr(self, name))
 
     @property
     def delta(self):

@@ -13,6 +13,9 @@ import math
 
 import numpy as np
 
+from .estimators import _check_count
+from .integrator import _check_positive
+
 __all__ = [
     "PotentialModel",
     "QuadraticPotential",
@@ -183,6 +186,9 @@ class QuadraticPotential(PotentialModel):
         endpoints with any interior eigenvalues drawn log-uniformly in
         between. With dimension 1 the single eigenvalue is max_eigenvalue.
         """
+        _check_count("n_components", n_components)
+        _check_count("dimension", dimension)
+        _check_positive("max_eigenvalue", max_eigenvalue)
         if not 0.0 < min_eigenvalue <= max_eigenvalue:
             raise ValueError("need 0 < min_eigenvalue <= max_eigenvalue")
         rng = np.random.default_rng(seed)

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import ESTIMATOR_KINDS, make_estimator, q_metric
+from .estimators import _check_count, _check_kind, make_estimator, q_metric
 from .integrator import (
     DynamicsParams,
     _advance,
+    _check_positive,
     _step_columns,
     noise_coefficients,
     sample_noise,
@@ -60,6 +61,13 @@ _DIVERGENCE_FACTOR = 1e6
 # steps whose noise and estimator draws are taken at once; a block holds
 # exactly the draws the same steps would make one at a time
 _BLOCK_STEPS = 256
+
+# SamplerConfig's checked settings in field order: a count maps to its
+# floor, a positive and finite real to None
+_SETTINGS = {
+    "n_steps": 0, "step": None, "batch_size": 1, "epoch_length": 1, "gamma": None,
+    "xi": None, "burn_in": 0, "record_stride": 1, "n_chains": 1,
+}
 
 
 class ChainDivergence(RuntimeError):
@@ -109,31 +117,17 @@ class SamplerConfig:
     suppress_noise: bool = False
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATOR_KINDS:
-            raise ValueError(
-                f"unknown estimator {self.estimator!r}; choose from {ESTIMATOR_KINDS}"
-            )
-        if self.n_steps < 0:
-            raise ValueError("n_steps must be nonnegative")
-        # the negated range test also rejects NaN
-        if not 0.0 < self.step < np.inf:
-            raise ValueError("step must be positive and finite")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if self.epoch_length is not None and self.epoch_length < 1:
-            raise ValueError("epoch_length must be at least 1")
-        if not 0.0 < self.gamma < np.inf or (
-            self.xi is not None and not 0.0 < self.xi < np.inf
-        ):
-            raise ValueError("gamma and xi must be positive and finite")
-        if self.burn_in < 0:
-            raise ValueError("burn_in must be nonnegative")
+        _check_kind(self.estimator)
+        for name, floor in _SETTINGS.items():
+            value = getattr(self, name)
+            if value is None and name in ("epoch_length", "xi"):
+                continue  # N/b and 1/L, resolved at run time
+            if floor is None:
+                _check_positive(name, value)
+            else:
+                _check_count(name, value, floor)
         if self.n_steps > 0 and self.burn_in >= self.n_steps:
             raise ValueError("burn_in must be smaller than n_steps")
-        if self.record_stride < 1:
-            raise ValueError("record_stride must be at least 1")
-        if self.n_chains < 1:
-            raise ValueError("n_chains must be at least 1")
 
     def resolve_xi(self, model):
         return self.xi if self.xi is not None else 1.0 / model.smoothness

@@ -593,7 +593,35 @@ class TestFailBeforeSampling:
             print_advisory(config, io.StringIO())
 
 
+    @pytest.mark.parametrize(
+        "key, text, reason",
+        [
+            ("n_components", "0", "n_components must be at least 1, got 0"),
+            ("dimension", "0", "dimension must be at least 1, got 0"),
+            ("max_eigenvalue", "inf", "max_eigenvalue must be positive and finite"),
+        ],
+    )
+    def test_degenerate_synthetic_target_fails_naming_the_key(
+        self, tmp_path, capsys, key, text, reason
+    ):
+        out = tmp_path / "out"
+        path = write_config(tmp_path, f"{TINY_SYNTHETIC}{key} = {text}\n")
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            main(["synthetic", "--config", str(path), "--out", str(out)])
+        assert list(tmp_path.iterdir()) == [path]  # nothing written
+        assert "no results written" in capsys.readouterr().err
+
+
 class TestMain:
+    def test_estimator_flag_is_read_in_lower_case(self, tmp_path):
+        config_path = write_config(tmp_path, TINY_SYNTHETIC)
+        out = tmp_path / "only-sg"
+        args = ["synthetic", "--config", str(config_path), "--out", str(out)]
+        assert main([*args, "--estimator", "SG"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == [
+            "comparison.txt", "sg.csv", "summary.json"
+        ]
+
     def test_estimator_flag_narrows_methods(self, tmp_path, capsys):
         config_path = write_config(tmp_path, TINY_SYNTHETIC)
         out = tmp_path / "only-full"

@@ -555,6 +555,20 @@ class TestCheckedByTheCast:
         assert result[0] is LibsvmFormatError
         assert result[1].startswith(f"line {min(edits) + 1}")
 
+    def test_a_refused_group_checks_one_line(self, monkeypatch):
+        # the group's first refused number is found by halving, so only its
+        # line goes through the line check
+        lines = _decimal_document({2990: (2, "2:3.1.4")}).splitlines()
+        calls, check_line = [], dataio._check_line
+
+        def spy(line, lineno):
+            calls.append(lineno)
+            return check_line(line, lineno)
+
+        monkeypatch.setattr(dataio, "_check_line", spy)
+        assert outcome(parse_libsvm, lines) == outcome(oracles.parse_libsvm, lines)
+        assert calls == [2991]
+
     @pytest.mark.parametrize(
         "text, line",
         [

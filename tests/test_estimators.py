@@ -569,3 +569,50 @@ class TestMakeEstimator:
         with pytest.raises(ValueError):
             make_estimator("saga", model, np.zeros(model.dimension), batch_size=5)
 
+
+
+class TestSettingRules:
+    """Counts must be integers and kinds must be named as listed, in every
+    entry point that takes them."""
+
+    @pytest.mark.parametrize(
+        "kind, counts, reason",
+        [
+            ("svrg", dict(batch_size=2.5), "batch_size must be an integer, got 2.5"),
+            ("saga", dict(batch_size=True), "batch_size must be an integer, got True"),
+            ("svrg", dict(epoch_length=2.5), "epoch_length must be an integer, got 2.5"),
+            ("sarah", dict(epoch_length=0), "epoch_length must be at least 1, got 0"),
+        ],
+        ids=["float batch", "bool batch", "float epoch", "zero epoch"],
+    )
+    def test_non_integer_counts_are_refused(self, kind, counts, reason):
+        model = quadratic(20, n=10)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            make_estimator(kind, model, np.zeros(model.dimension), **counts)
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            mseb_descriptor(kind, 10, **counts)
+
+    def test_sizes_given_alone_are_refused_as_floats(self):
+        with pytest.raises(ValueError, match=r"^batch_size must be an integer, got 2.0$"):
+            sample_batch(np.random.default_rng(0), 5, 2.0)
+        with pytest.raises(ValueError, match=r"^n_components must be an integer, got 10.5$"):
+            mseb_descriptor("saga", 10.5)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        model = quadratic(21, n=12)
+        est = make_estimator(
+            "svrg", model, np.zeros(model.dimension),
+            batch_size=np.int64(3), epoch_length=np.int64(5),
+        )
+        assert (est.batch_size, est.epoch_length) == (3, 5)
+        assert mseb_descriptor(
+            "svrg", 12, batch_size=np.int64(3), epoch_length=np.int64(5)
+        ) == mseb_descriptor("svrg", 12, batch_size=3, epoch_length=5)
+
+    def test_kind_names_are_not_lower_cased(self):
+        model = quadratic(22, n=4)
+        reason = r"^unknown estimator 'SG'; choose from \('full', 'sg',"
+        with pytest.raises(ValueError, match=reason):
+            make_estimator("SG", model, np.zeros(model.dimension))
+        with pytest.raises(ValueError, match=reason):
+            mseb_descriptor("SG", 4)

@@ -66,16 +66,25 @@ BAD_SAMPLER_FIELDS = [
     (dict(step=math.inf), "step must be positive and finite"),
     (dict(batch_size=0), "batch_size must be at least 1"),
     (dict(epoch_length=0), "epoch_length must be at least 1"),
-    (dict(gamma=-1.0), "gamma and xi must be positive"),
-    (dict(gamma=math.nan), "gamma and xi must be positive"),
-    (dict(gamma=math.inf), "gamma and xi must be positive and finite"),
-    (dict(xi=0.0), "gamma and xi must be positive"),
-    (dict(xi=math.nan), "gamma and xi must be positive"),
-    (dict(xi=math.inf), "gamma and xi must be positive and finite"),
+    (dict(gamma=-1.0), "^gamma must be positive and finite$"),
+    (dict(gamma=math.nan), "^gamma must be positive and finite$"),
+    (dict(gamma=math.inf), "^gamma must be positive and finite$"),
+    (dict(xi=0.0), "^xi must be positive and finite$"),
+    (dict(xi=math.nan), "^xi must be positive and finite$"),
+    (dict(xi=math.inf), "^xi must be positive and finite$"),
     (dict(burn_in=-1), "burn_in must be nonnegative"),
     (dict(burn_in=10), "burn_in must be smaller than n_steps"),
     (dict(record_stride=0), "record_stride must be at least 1"),
     (dict(n_chains=0), "n_chains must be at least 1"),
+    # counts must be integers: a float or a bool is refused, not truncated
+    (dict(estimator="svrg", batch_size=2.5), "^batch_size must be an integer, got 2.5$"),
+    (dict(estimator="svrg", epoch_length=2.5), "^epoch_length must be an integer, got 2.5$"),
+    (dict(n_steps=5.5), "^n_steps must be an integer, got 5.5$"),
+    (dict(record_stride=2.5), "^record_stride must be an integer, got 2.5$"),
+    (dict(n_chains=2.5), "^n_chains must be an integer, got 2.5$"),
+    (dict(record_stride=True), "^record_stride must be an integer, got True$"),
+    # only epoch_length and xi take None, resolved at run time
+    (dict(n_steps=None), "^n_steps must be an integer, got None$"),
 ]
 
 
@@ -86,6 +95,20 @@ class TestConfigValidation:
         for bad, reason in BAD_SAMPLER_FIELDS:
             with pytest.raises(ValueError, match=reason):
                 SamplerConfig(**{**valid, **bad})
+
+    def test_numpy_integer_counts_run(self):
+        model = small_model()
+        counts = dict(n_steps=20, batch_size=2, epoch_length=3, burn_in=5,
+                      record_stride=4, n_chains=2)
+        config = SamplerConfig(
+            step=0.1, estimator="svrg", **{k: np.int64(v) for k, v in counts.items()}
+        )
+        want = run_ensemble(SamplerConfig(step=0.1, estimator="svrg", **counts), model)
+        got = run_ensemble(config, model)
+        assert len(got.records) == len(want.records) == 2
+        for a, b in zip(got.records, want.records):
+            np.testing.assert_array_equal(a.positions, b.positions)
+            np.testing.assert_array_equal(a.iterations, b.iterations)
 
     def test_xi_defaults_to_inverse_smoothness(self):
         model = small_model()
