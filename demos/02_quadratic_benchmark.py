@@ -11,7 +11,7 @@ estimator noise from discretization bias. Two things to notice below:
 * Among the others the MSEB constant theta predicts the ordering of the
   measured gradient error: SARGE < SAGA < SG at batch size 1.
 
-Run with: python3 demos/02_quadratic_benchmark.py  (about 20 seconds)
+Run with: python3 demos/02_quadratic_benchmark.py  (about 5 seconds)
 """
 
 import numpy as np

@@ -44,7 +44,6 @@ __all__ = [
     "Dataset",
     "LibsvmFormatError",
     "parse_libsvm",
-    "emit_libsvm",
     "train_test_split",
     "standardize",
     "StandardizeTransform",
@@ -505,20 +504,6 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     features = np.zeros((n_rows, n_features))
     features.reshape(-1)[flat] = values
     return Dataset(labels=_map_labels(labels, label_map), features=features)
-
-
-def emit_libsvm(dataset):
-    """Serialize a Dataset back to LIBSVM text.
-
-    Each row's nonzeros are written with repr, so emit followed by parse
-    (with the same n_features) reproduces the Dataset exactly.
-    """
-    lines = []
-    for label, row in zip(dataset.labels, dataset.features):
-        parts = [str(int(label))]
-        parts.extend(f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 def train_test_split(dataset, train_fraction, seed):

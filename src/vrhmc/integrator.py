@@ -54,7 +54,12 @@ _TAYLOR_THRESHOLD = 5e-2
 
 
 def _check_positive(name, value):
-    """Refuse a value that is not positive and finite, NaN included."""
+    """Refuse a value that is not a Python or numpy real (a bool is not
+    one), or not positive and finite, NaN included."""
+    if type(value) not in (int, float) and not isinstance(
+        value, (np.integer, np.floating)
+    ):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
 

@@ -76,7 +76,10 @@ class PotentialModel:
 
     gradient_batch returns a new array that the caller owns: estimators
     scale and subtract into it in place, so it must never be a view of,
-    or be kept by, the model.
+    or be kept by, the model. Its indices lie in [0, N); the package
+    passes only indices an estimator drew, so they go unchecked. An
+    index >= N raises IndexError, and a negative index counts from the
+    end, as numpy indexing does.
     """
 
     n_components: int
@@ -117,14 +120,6 @@ class PotentialModel:
                 f"points have shape {points.shape}, expected (n, {self.dimension})"
             )
         return points
-
-    def _check_index(self, i):
-        i = int(i)
-        if not 0 <= i < self.n_components:
-            raise IndexError(
-                f"component index {i} out of range [0, {self.n_components})"
-            )
-        return i
 
 
 class QuadraticPotential(PotentialModel):
@@ -211,11 +206,6 @@ class QuadraticPotential(PotentialModel):
         precision = 0.5 * (precision + precision.T)
         return cls(data, precision)
 
-    def gradient_component(self, i, x):
-        i = self._check_index(i)
-        x = self._check_point(x)
-        return (2.0 / self.n_components) * (self.precision @ (x - self.data[i]))
-
     def gradient_batch(self, indices, x):
         x = self._check_point(x)
         if len(indices) == 1:
@@ -241,12 +231,6 @@ class QuadraticPotential(PotentialModel):
         points = self._check_points(points)
         centered = points - self._anchor_mean
         return 2.0 * (self.precision @ centered[:, :, None])[:, :, 0]
-
-    def potential_component(self, i, x):
-        i = self._check_index(i)
-        x = self._check_point(x)
-        r = self.data[i] - x
-        return float(r @ self.precision @ r) / self.n_components
 
     def potential_full(self, x):
         # centered closed form, O(d^2) instead of O(N d^2)
@@ -311,13 +295,6 @@ class LogisticPotential(PotentialModel):
     def _margins(self, x):
         return self.labels * (self.features @ x)
 
-    def gradient_component(self, i, x):
-        i = self._check_index(i)
-        x = self._check_point(x)
-        z = self.labels[i] * (self.features[i] @ x)
-        coef = -self.labels[i] * sigmoid(-z)
-        return (self.ridge / self.n_components) * x + coef * self.features[i]
-
     def gradient_batch(self, indices, x):
         # take() gathers a fresh copy, which is scaled and shifted in place
         x = self._check_point(x)
@@ -332,14 +309,6 @@ class LogisticPotential(PotentialModel):
         x = self._check_point(x)
         coef = -self.labels * sigmoid(-self._margins(x))
         return self.ridge * x + self.features.T @ coef
-
-    def potential_component(self, i, x):
-        i = self._check_index(i)
-        x = self._check_point(x)
-        z = self.labels[i] * (self.features[i] @ x)
-        return float(
-            0.5 * self.ridge / self.n_components * (x @ x) + softplus(-z)
-        )
 
     def potential_full(self, x):
         x = self._check_point(x)

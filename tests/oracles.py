@@ -1,6 +1,8 @@
 """Test oracles: exact conditional means of the gradient estimators, the
-per-token LIBSVM parser that vrhmc.dataio.parse_libsvm must match, and the
-per-row W2 tracker that vrhmc.sampler.wasserstein_tracker must match."""
+closed-form component gradient and potential f_i of both targets, the
+per-token LIBSVM parser that vrhmc.dataio.parse_libsvm must match, the
+LIBSVM writer whose output it parses, and the per-row W2 tracker that
+vrhmc.sampler.wasserstein_tracker must match."""
 
 import copy
 import itertools
@@ -11,6 +13,7 @@ import numpy as np
 
 from vrhmc.dataio import Dataset, LibsvmFormatError
 from vrhmc.metrics import GaussianSummary
+from vrhmc.potentials import QuadraticPotential, sigmoid, softplus
 
 # oracle enumeration refuses above this many batches
 _MAX_ENUMERATION = 10_000
@@ -49,6 +52,31 @@ def conditional_mean_oracle(estimator, model, x_next):
         if probability > 0.0:
             mean += probability * copy.deepcopy(estimator).estimate(x_next, draw)
     return mean
+
+
+# Closed-form components f_i of the two targets, from their public arrays.
+# The targets compute only batches, full gradients and f; these are the
+# per-component formulas the tests hold those against.
+
+
+def gradient_component(model, i, x):
+    """Gradient of the component f_i at x."""
+    x = model._check_point(x)
+    if isinstance(model, QuadraticPotential):
+        return (2.0 / model.n_components) * (model.precision @ (x - model.data[i]))
+    z = model.labels[i] * (model.features[i] @ x)
+    coef = -model.labels[i] * sigmoid(-z)
+    return (model.ridge / model.n_components) * x + coef * model.features[i]
+
+
+def potential_component(model, i, x):
+    """Value of the component f_i at x."""
+    x = model._check_point(x)
+    if isinstance(model, QuadraticPotential):
+        r = model.data[i] - x
+        return float(r @ model.precision @ r) / model.n_components
+    z = model.labels[i] * (model.features[i] @ x)
+    return float(0.5 * model.ridge / model.n_components * (x @ x) + softplus(-z))
 
 
 # Reference LIBSVM parser: one Python loop per line and per token.
@@ -171,6 +199,20 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     features = np.zeros((len(raw_labels), n_features))
     features[np.repeat(np.arange(len(raw_labels)), np.diff(indptr)), indices] = values
     return Dataset(labels=_map_labels(raw_labels, label_map), features=features)
+
+
+def emit_libsvm(dataset):
+    """Serialize a Dataset to LIBSVM text.
+
+    Each row's nonzeros are written with repr, so emit followed by parse
+    (with the same n_features) reproduces the Dataset exactly.
+    """
+    lines = []
+    for label, row in zip(dataset.labels, dataset.features):
+        parts = [str(int(label))]
+        parts.extend(f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row))
+        lines.append(" ".join(parts))
+    return "\n".join(lines) + "\n"
 
 
 # Reference W2 tracker: one Gaussian fit and one Bures evaluation per

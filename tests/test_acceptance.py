@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vrhmc.dataio import Dataset, parse_libsvm, emit_libsvm
+from vrhmc.dataio import Dataset, parse_libsvm
 from vrhmc.estimators import make_estimator, mseb_descriptor
 from vrhmc.integrator import (
     DynamicsParams,
@@ -32,7 +32,7 @@ from vrhmc.metrics import gradient_mse
 from vrhmc.potentials import LogisticPotential, QuadraticPotential
 from vrhmc.sampler import SamplerConfig, run_chain, run_ensemble, wasserstein_tracker
 
-from oracles import conditional_mean_oracle
+from oracles import conditional_mean_oracle, emit_libsvm
 
 pytestmark = pytest.mark.acceptance
 

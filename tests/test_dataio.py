@@ -12,7 +12,6 @@ from vrhmc.dataio import (
     Dataset,
     LibsvmFormatError,
     _map_labels,
-    emit_libsvm,
     parse_libsvm,
     standardize,
     train_test_split,
@@ -251,7 +250,7 @@ def fuzz_document(rng):
         2: {"-1": "1", "1": "2"},
     }[int(rng.integers(3))]
     lines = []
-    for line in emit_libsvm(dataset).splitlines():
+    for line in oracles.emit_libsvm(dataset).splitlines():
         tokens = line.split()
         tokens[0] = convention[tokens[0]]
         lines.append(tokens)
@@ -643,7 +642,7 @@ class TestSourceKinds:
         np.testing.assert_array_equal(data.features, [[2.0, 0.0], [0.0, 3.0]])
 
     def test_bz2_handle_matches_the_plain_file(self, tmp_path):
-        text = emit_libsvm(random_dataset(np.random.default_rng(11), 9, 5))
+        text = oracles.emit_libsvm(random_dataset(np.random.default_rng(11), 9, 5))
         plain = tmp_path / "plain.libsvm"
         plain.write_text(text)
         packed = tmp_path / "packed.libsvm.bz2"
@@ -794,14 +793,14 @@ class TestRoundTrip:
             )
             covered = bool(dataset.features[:, -1].any())
             back = parse_libsvm(
-                emit_libsvm(dataset).splitlines(),
+                oracles.emit_libsvm(dataset).splitlines(),
                 n_features=dataset.n_features,
             )
             assert back == dataset, f"trial {trial} (last column covered: {covered})"
 
     def test_emitted_text_shape(self):
         dataset = parse_libsvm(["+1 2:0.5"])
-        text = emit_libsvm(dataset)
+        text = oracles.emit_libsvm(dataset)
         assert text == "1 2:0.5\n"
 
 

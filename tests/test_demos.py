@@ -1,11 +1,9 @@
 """Smoke tests for the demo scripts: each runs to the end in a fresh process.
 
-The demos exercise DynamicsParams, SamplerConfig, stationary_covariance and
-StandardizeTransform.invert the way a reader would. Each runs with
-PYTHONPATH=src in an empty temporary directory and must exit 0 and print its
-closing line. 02_quadratic_benchmark.py is left out: it takes about 20 s,
-longer than the rest of the suite outside the acceptance gate together, and
-the estimator and sampler paths it walks are covered by the unit tests.
+The demos exercise DynamicsParams, SamplerConfig, stationary_covariance,
+mseb_descriptor and StandardizeTransform.invert the way a reader would. Each
+runs with PYTHONPATH=src in an empty temporary directory and must exit 0 and
+print its closing line.
 """
 
 import os
@@ -20,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 # each demo and the start of the last line it prints
 DEMOS = [
     ("01_integrator_exactness.py", "  h=0.2: converged Gaussian-W2 distance "),
+    ("02_quadratic_benchmark.py", "SAGA carries an O(N d) memory table to do it."),
     ("03_logistic_regression.py", "(window: the second half of the 14400-query budget)"),
 ]
 

@@ -157,6 +157,10 @@ class TestNoiseCoefficients:
             with pytest.raises(ValueError):
                 DynamicsParams(**bad)
 
+    def test_rejects_a_bool(self):
+        with pytest.raises(ValueError, match="^xi must be a real number, got True$"):
+            DynamicsParams(gamma=1.0, xi=True, step=0.1)
+
     @pytest.mark.parametrize("name", ("gamma", "xi", "step"))
     @pytest.mark.parametrize("value", (np.nan, np.inf))
     def test_rejects_non_finite_parameters(self, name, value):

@@ -10,6 +10,8 @@ from vrhmc.potentials import (
     softplus,
 )
 
+from oracles import gradient_component, potential_component
+
 
 def central_difference(fn, x, eps=1e-6):
     grad = np.zeros_like(x)
@@ -65,8 +67,8 @@ class TestQuadraticPotential:
             )
             i = int(rng.integers(model.n_components))
             np.testing.assert_allclose(
-                model.gradient_component(i, x),
-                central_difference(lambda y: model.potential_component(i, y), x),
+                gradient_component(model, i, x),
+                central_difference(lambda y: potential_component(model, i, y), x),
                 rtol=1e-6,
                 atol=1e-8,
             )
@@ -84,7 +86,7 @@ class TestQuadraticPotential:
             )
             np.testing.assert_allclose(
                 model.potential_full(x),
-                sum(model.potential_component(i, x) for i in idx),
+                sum(potential_component(model, i, x) for i in idx),
                 rtol=1e-10,
             )
 
@@ -95,7 +97,7 @@ class TestQuadraticPotential:
         batch = np.array([3, 0, 7])
         rows = model.gradient_batch(batch, x)
         for row, i in zip(rows, batch):
-            np.testing.assert_allclose(row, model.gradient_component(int(i), x), rtol=1e-14)
+            np.testing.assert_allclose(row, gradient_component(model, int(i), x), rtol=1e-14)
 
     def test_component_gradient_differences_are_index_free(self):
         # quadratic components share curvature: the difference is (2/N) P (x - y)
@@ -104,7 +106,7 @@ class TestQuadraticPotential:
         x, y = rng.standard_normal((2, model.dimension))
         want = (2.0 / model.n_components) * model.precision @ (x - y)
         for i in range(model.n_components):
-            got = model.gradient_component(i, x) - model.gradient_component(i, y)
+            got = gradient_component(model, i, x) - gradient_component(model, i, y)
             np.testing.assert_allclose(got, want, rtol=1e-12)
 
     def test_secant_inequality(self):
@@ -182,15 +184,24 @@ class TestQuadraticPotential:
             QuadraticPotential(data=[[0.0, 1.0]], precision=[[1.0, 0.5], [0.0, 1.0]])
         with pytest.raises(ValueError):
             QuadraticPotential(data=[[0.0, 1.0]], precision=[[1.0]])
+        with pytest.raises(ValueError, match="^max_eigenvalue must be a real number, got True$"):
+            QuadraticPotential.random(n_components=4, dimension=2, max_eigenvalue=True)
 
     def test_rejects_bad_points_and_indices(self):
         model = random_quadratic(17)
         with pytest.raises(ValueError):
             model.gradient_full(np.zeros(model.dimension + 1))
-        with pytest.raises(IndexError):
-            model.gradient_component(model.n_components, np.zeros(model.dimension))
-        with pytest.raises(IndexError):
-            model.gradient_component(-1, np.zeros(model.dimension))
+        # batch indices lie in [0, N): N raises, and -1 counts from the end
+        for model in (random_quadratic(17), random_logistic(17)):
+            n, x = model.n_components, np.ones(model.dimension)
+            for batch in ([n], [0, n]):
+                with pytest.raises(IndexError):
+                    model.gradient_batch(np.array(batch), x)
+            for batch in ([-1], [0, -1]):
+                np.testing.assert_array_equal(
+                    model.gradient_batch(np.array(batch), x),
+                    model.gradient_batch(np.array(batch) % n, x),
+                )
 
 
 class TestQuadraticProductBits:
@@ -263,8 +274,8 @@ class TestLogisticPotential:
             )
             i = int(rng.integers(model.n_components))
             np.testing.assert_allclose(
-                model.gradient_component(i, x),
-                central_difference(lambda y: model.potential_component(i, y), x),
+                gradient_component(model, i, x),
+                central_difference(lambda y: potential_component(model, i, y), x),
                 rtol=1e-6,
                 atol=1e-8,
             )
@@ -279,7 +290,7 @@ class TestLogisticPotential:
         )
         np.testing.assert_allclose(
             model.potential_full(x),
-            sum(model.potential_component(i, x) for i in idx),
+            sum(potential_component(model, i, x) for i in idx),
             rtol=1e-10,
         )
 
@@ -303,7 +314,7 @@ class TestLogisticPotential:
         # one observation a = (1,), label +1, no ridge: grad at 0 is -1/2
         model = LogisticPotential(np.array([[1.0]]), np.array([1.0]), ridge=0.0)
         np.testing.assert_allclose(
-            model.gradient_component(0, np.zeros(1)), [-0.5], rtol=1e-14
+            gradient_component(model, 0, np.zeros(1)), [-0.5], rtol=1e-14
         )
 
     def test_smoothness_matches_dense_eigenvalue(self):

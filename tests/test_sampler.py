@@ -72,6 +72,10 @@ BAD_SAMPLER_FIELDS = [
     (dict(xi=0.0), "^xi must be positive and finite$"),
     (dict(xi=math.nan), "^xi must be positive and finite$"),
     (dict(xi=math.inf), "^xi must be positive and finite$"),
+    # positive settings must be reals: a bool, None or a string is refused
+    (dict(step=True), "^step must be a real number, got True$"),
+    (dict(step=None), "^step must be a real number, got None$"),
+    (dict(gamma="2"), "^gamma must be a real number, got '2'$"),
     (dict(burn_in=-1), "burn_in must be nonnegative"),
     (dict(burn_in=10), "burn_in must be smaller than n_steps"),
     (dict(record_stride=0), "record_stride must be at least 1"),
