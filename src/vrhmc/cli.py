@@ -19,7 +19,8 @@ A run's files reach the result directory only once every method has
 finished: they are written to a staging directory beside it and renamed
 in, and the names this CLI writes that the run did not produce are
 removed. A run that diverges, raises or is interrupted leaves the result
-directory as it was.
+directory as it was; one stopped during the final renames says on stderr
+which files it had already removed or renamed in.
 
 Example config:
 
@@ -42,7 +43,7 @@ import resource
 import shutil
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -95,7 +96,6 @@ class ExperimentConfig:
     data_seed: int = 7
     # logistic target
     data: str | None = None
-    label_map: str = "auto"
     n_features: int | None = None
     train_fraction: float = 0.8
     split_seed: int = 0
@@ -104,11 +104,10 @@ class ExperimentConfig:
     # per-method overrides, e.g. {"svrg": {"epoch": 500}}
     method_overrides: dict = field(default_factory=dict)
 
-    def sampler_config(self, method):
+    def sampler_config(self, method, record_q=False):
         override = self.method_overrides.get(method, {})
         per_method = {
-            name: _KEY_TYPES[key](override.get(key, getattr(self, key)))
-            for key, name in _METHOD_KEYS.items()
+            name: override.get(key, getattr(self, key)) for key, name in _METHOD_KEYS.items()
         }
         return SamplerConfig(
             estimator=method,
@@ -118,6 +117,7 @@ class ExperimentConfig:
             n_chains=self.chains,
             seed=self.seed,
             diagnostics=self.diagnostics,
+            record_q=record_q,
             **per_method,
         )
 
@@ -157,25 +157,18 @@ def _reader(annotation):
     return lambda value: None if str(value).lower() in ("", "none", "default") else read(value)
 
 
-def _read_label_map(text):
-    # dataio.parse_libsvm also takes a dict, which no config line can spell
-    if text != "auto":
-        raise ValueError("the only supported label map is 'auto'")
-    return text
-
-
-# every ExperimentConfig key -> its reader, which sampler_config also
-# applies to the values it passes on
+# every ExperimentConfig key -> the reader of its config-file text
 _KEY_TYPES = {entry.name: _reader(entry.type) for entry in fields(ExperimentConfig)}
-_KEY_TYPES["label_map"] = _read_label_map
 
 
 def load_config(path=None, overrides=None):
     """Build an ExperimentConfig from a flat key = value file plus overrides.
 
-    overrides is a {key: value} dict of already-parsed values that wins
-    over the file (this is how command-line flags are applied). Unknown
-    keys and malformed lines are errors.
+    overrides is a {key: value} dict that wins over the file, None values
+    aside; main passes its parsed flags here. Its values are taken as
+    given, so SamplerConfig's rules check the sampler settings among them
+    (sampler_config refuses batch = 2.5, say). Unknown keys and malformed
+    lines are errors.
     """
     settings = {}
     method_overrides = {}
@@ -256,9 +249,7 @@ def _build_model(config, experiment):
     if config.data is None:
         raise ValueError("logistic experiments need 'data = <libsvm file>'")
     train, test = dataio.train_test_split(
-        dataio.parse_libsvm(
-            config.data, label_map=config.label_map, n_features=config.n_features
-        ),
+        dataio.parse_libsvm(config.data, n_features=config.n_features),
         config.train_fraction,
         config.split_seed,
     )
@@ -295,7 +286,10 @@ def _method_summary(model, sampler_config, advisory, ensemble):
     descriptor, bound = advisory
     summary = {
         "estimator": sampler_config.estimator,
-        "batch_size": sampler_config.batch_size,
+        # full samples at b = N, whatever batch is configured
+        "batch_size": (
+            model.n_components if sampler_config.estimator == "full" else sampler_config.batch_size
+        ),
         "epoch_length": sampler_config.epoch_length,
         "step": sampler_config.step,
         "xi": sampler_config.resolve_xi(model),
@@ -347,7 +341,7 @@ def _resolve_methods(config, model, record_q=False):
     resolved = []
     for method in config.methods:
         try:
-            sampler_config = replace(config.sampler_config(method), record_q=record_q)
+            sampler_config = config.sampler_config(method, record_q)
             resolved.append((method, sampler_config, _advisory(model, sampler_config)))
         except ValueError as err:
             raise ValueError(f"{method}: {err}") from None
@@ -374,22 +368,30 @@ def _publish(out_dir, files, summary):
     directory beside out_dir first; then the names in _RESULT_NAMES that
     this run did not write are removed from out_dir, and the staged files
     are renamed in, summary.json last. Other files in out_dir are left
-    alone. A failure before the renames leaves out_dir as it was.
+    alone. A failure before the renames leaves out_dir as it was; one
+    during them leaves the exception a published attribute listing what
+    was already done ('removed sg.csv', 'wrote full.csv'), in order.
     """
     summary_text = json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"
     files = {**files, "summary.json": summary_text}
     out_dir = Path(out_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
+    done = []
     try:
         for name, text in files.items():
             (staging / name).write_text(text)
         out_dir.mkdir(exist_ok=True)
         for name in _RESULT_NAMES:
-            if name not in files:
-                (out_dir / name).unlink(missing_ok=True)
+            if name not in files and os.path.lexists(out_dir / name):
+                (out_dir / name).unlink()
+                done.append(f"removed {name}")
         for name in files:
             os.replace(staging / name, out_dir / name)
+            done.append(f"wrote {name}")
+    except BaseException as err:
+        err.published = done
+        raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return summary
@@ -564,6 +566,7 @@ def main(argv=None):
         description="Hamiltonian Monte Carlo with variance-reduced gradient estimators",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # each flag but --config sets the config key its dest names
     for name, blurb in (
         ("synthetic", "estimator comparison on the analytic quadratic target"),
         ("logistic", "estimator comparison on logistic regression data"),
@@ -571,49 +574,34 @@ def main(argv=None):
     ):
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--config", help="flat key = value config file")
-        cmd.add_argument("--seed", type=int, help="master seed override")
-        cmd.add_argument("--out", help="output directory")
-        cmd.add_argument(
-            "--paper-scale",
-            action="store_true",
-            help="switch iteration counts to full-scale magnitudes",
-        )
-        cmd.add_argument(
-            "--diagnostics",
-            action="store_true",
-            help="record per-step squared gradient error",
-        )
-        cmd.add_argument("--estimator", help="run only this estimator")
+        if name != "advisory":  # the advisory samples nothing and writes no file
+            cmd.set_defaults(experiment=name)
+            cmd.add_argument("--seed", type=int, help="master seed override")
+            cmd.add_argument("--out", help="output directory")
+            cmd.add_argument("--paper-scale", action="store_const", const=True,
+                             help="switch iteration counts to full-scale magnitudes")
+            cmd.add_argument("--diagnostics", action="store_const", const=True,
+                             help="record per-step squared gradient error")
+        cmd.add_argument("--estimator", dest="methods", metavar="ESTIMATOR",
+                         type=lambda text: (text.lower(),), help="run only this estimator")
         cmd.add_argument("--batch", type=int, help="batch size override")
         cmd.add_argument("--epoch", type=int, help="epoch length override")
         cmd.add_argument("--step", type=float, help="step size override")
-    args = parser.parse_args(argv)
+    overrides = vars(parser.parse_args(argv))
+    command = overrides.pop("command")
+    config = load_config(overrides.pop("config"), overrides)
 
-    overrides = {
-        "experiment": args.command if args.command != "advisory" else None,
-        "seed": args.seed,
-        "out": args.out,
-        "batch": args.batch,
-        "epoch": args.epoch,
-        "step": args.step,
-    }
-    if args.paper_scale:
-        overrides["paper_scale"] = True
-    if args.diagnostics:
-        overrides["diagnostics"] = True
-    if args.estimator:
-        overrides["methods"] = (args.estimator.lower(),)
-    config = load_config(args.config, overrides)
-
-    if args.command == "advisory":
+    if command == "advisory":
         print_advisory(config)
         return 0
-    run = run_synthetic if args.command == "synthetic" else run_logistic
+    run = run_synthetic if command == "synthetic" else run_logistic
     out = Path(config.out).resolve()
     try:
         run(config)
-    except BaseException:
-        print(f"run stopped; no results written, {out} left as it was", file=sys.stderr)
+    except BaseException as err:
+        done = ", ".join(getattr(err, "published", ()))
+        state = f"in {out}: {done}; the rest" if done else f"no results written, {out}"
+        print(f"run stopped; {state} left as it was", file=sys.stderr)
         raise
     print(f"results written to {out}", file=sys.stderr)
     return 0

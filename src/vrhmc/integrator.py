@@ -53,13 +53,18 @@ __all__ = [
 _TAYLOR_THRESHOLD = 5e-2
 
 
-def _check_positive(name, value):
-    """Refuse a value that is not a Python or numpy real (a bool is not
-    one), or not positive and finite, NaN included."""
+def _check_real(name, value):
+    """Refuse a value that is not a Python or numpy real (a bool is not one)."""
     if type(value) not in (int, float) and not isinstance(
         value, (np.integer, np.floating)
     ):
         raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def _check_positive(name, value):
+    """Refuse a value that is not a real (see _check_real), or not positive
+    and finite, NaN included."""
+    _check_real(name, value)
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite")
 

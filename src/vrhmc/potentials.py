@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .estimators import _check_count
-from .integrator import _check_positive
+from .integrator import _check_positive, _check_real
 
 __all__ = [
     "PotentialModel",
@@ -184,8 +184,9 @@ class QuadraticPotential(PotentialModel):
         _check_count("n_components", n_components)
         _check_count("dimension", dimension)
         _check_positive("max_eigenvalue", max_eigenvalue)
-        if not 0.0 < min_eigenvalue <= max_eigenvalue:
-            raise ValueError("need 0 < min_eigenvalue <= max_eigenvalue")
+        _check_positive("min_eigenvalue", min_eigenvalue)
+        if min_eigenvalue > max_eigenvalue:
+            raise ValueError("need min_eigenvalue <= max_eigenvalue")
         rng = np.random.default_rng(seed)
         data = _ANCHOR_MEAN + np.sqrt(_ANCHOR_VARIANCE) * rng.standard_normal(
             (n_components, dimension)
@@ -276,6 +277,7 @@ class LogisticPotential(PotentialModel):
             raise ValueError(f"labels have shape {labels.shape}, expected ({n},)")
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise ValueError("labels must take values in {-1, +1}")
+        _check_real("ridge", ridge)
         if not 0.0 <= ridge < math.inf:
             raise ValueError("ridge weight must be nonnegative and finite")
         # A^T A and A A^T share their nonzero eigenvalues, so decompose the

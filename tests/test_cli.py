@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from vrhmc import metrics, sampler
+from vrhmc import cli, metrics, sampler
 from vrhmc.cli import (
     ExperimentConfig,
     _build_model,
@@ -77,7 +77,6 @@ KEY_CASES = [
     ("data_seed", "8", 8),
     ("data", "none", "none"),
     ("data", "data/a1a", "data/a1a"),
-    ("label_map", "auto", "auto"),
     ("n_features", "123", 123),
     ("n_features", "none", None),
     ("train_fraction", "0.75", 0.75),
@@ -161,10 +160,31 @@ class TestLoadConfig:
         assert config.steps == 7
         assert config.seed == 4  # None override is ignored
 
-    def test_unknown_key_reports_location(self, tmp_path):
-        path = write_config(tmp_path, "steps = 10\nstepz = 5\n")
-        with pytest.raises(ValueError, match=r"run\.cfg:2.*stepz"):
+    # label_map is no config key: the label map is parse_libsvm's own argument
+    @pytest.mark.parametrize("line", ["stepz = 5", "label_map = auto"])
+    def test_unknown_key_reports_location(self, tmp_path, line):
+        path = write_config(tmp_path, f"steps = 10\n{line}\n")
+        key = line.split(" = ")[0]
+        with pytest.raises(ValueError, match=rf"run\.cfg:2: unknown key '{key}'$"):
             load_config(path)
+
+    # values from Python are not read like file text: SamplerConfig's
+    # rules refuse what a cast would truncate or coerce
+    @pytest.mark.parametrize(
+        "key, value, reason",
+        [
+            ("batch", 2.5, "batch_size must be an integer, got 2.5"),
+            ("batch", True, "batch_size must be an integer, got True"),
+            ("steps", 10000.7, "n_steps must be an integer, got 10000.7"),
+            ("step", "0.1", "step must be a real number, got '0.1'"),
+        ],
+    )
+    def test_python_overrides_meet_the_sampler_rules(self, key, value, reason):
+        config = load_config(None, {key: value, "methods": ("sg",)})
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            config.sampler_config("sg")
+        with pytest.raises(ValueError, match=f"^sg: {re.escape(reason)}$"):
+            print_advisory(config, io.StringIO())
 
     def test_unknown_method_prefix(self, tmp_path):
         path = write_config(tmp_path, "sgd.step = 0.1\n")
@@ -187,7 +207,7 @@ class TestLoadConfig:
             load_config(path)
 
     # one unreadable value per kind of reader: int, float, int | None,
-    # float | None, a per-method key, bool, label_map
+    # float | None, a per-method key, bool
     @pytest.mark.parametrize(
         "line",
         [
@@ -197,7 +217,6 @@ class TestLoadConfig:
             "xi = small",
             "svrg.epoch = ten",
             "diagnostics = maybe",
-            "label_map = zero_one",
         ],
     )
     def test_unreadable_value_reports_file_line_and_key(self, tmp_path, line):
@@ -259,6 +278,8 @@ class TestSynthetic:
             config.step / full_entry["advisory_step_bound"]
         )
         assert loaded["methods"]["sg"]["theta"] is None  # unbounded
+        # full samples at b = N = 8; sg at the configured batch = 1
+        assert [loaded["methods"][m]["batch_size"] for m in ("full", "sg")] == [8, 1]
         assert full_entry["potential_mse"] >= 0.0
         assert len(full_entry["pooled_mean"]) == 2
         assert np.isfinite(full_entry["final_w2"])
@@ -385,6 +406,34 @@ class TestResultDirectory:
         assert self.snapshot(out) == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["res", "run.cfg"]
         assert capsys.readouterr().err.endswith(f"{out.resolve()} left as it was\n")
+
+    def test_failure_between_renames_names_what_changed(self, tmp_path, monkeypatch, capsys):
+        path, out = self.first_run(tmp_path, methods="sg, saga, svrg")
+        before = self.snapshot(out)
+        real_replace, calls = cli.os.replace, []
+
+        def second_call_fails(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise OSError("rename failed")
+            return real_replace(*args)
+
+        monkeypatch.setattr(cli.os, "replace", second_call_fails)
+        capsys.readouterr()
+        argv = ["synthetic", "--config", str(path), "--out", str(out), "--estimator", "sg",
+                "--seed", "5"]
+        with pytest.raises(OSError, match="rename failed"):
+            main(argv)
+        after = self.snapshot(out)
+        assert set(after) == {"sg.csv", "comparison.txt", "summary.json"}
+        assert after["sg.csv"] != before["sg.csv"]
+        assert after["comparison.txt"] == before["comparison.txt"]
+        assert after["summary.json"] == before["summary.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["res", "run.cfg"]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"run stopped; in {out.resolve()}: removed svrg.csv, removed saga.csv, "
+            "wrote sg.csv; the rest left as it was"
+        )
 
     def test_rerun_with_fewer_methods_drops_their_stale_files(self, tmp_path):
         path, out = self.first_run(tmp_path, methods="sg, saga, svrg")
@@ -640,6 +689,37 @@ class TestMain:
         assert (out / "full.csv").exists()
         assert not (out / "sg.csv").exists()
         assert "results written to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["synthetic", "logistic", "advisory"])
+    def test_each_flag_sets_its_config_key(self, tmp_path, monkeypatch, command):
+        seen = []
+        entry = "print_advisory" if command == "advisory" else f"run_{command}"
+        monkeypatch.setattr(cli, entry, seen.append)
+        path = write_config(tmp_path, "experiment = logistic\nsteps = 60\nburn_in = 5\n")
+        flags = {"--estimator": "SARAH", "--batch": "2", "--epoch": "4", "--step": "0.25"}
+        want = {"experiment": "logistic", "methods": ("sarah",), "batch": 2, "epoch": 4,
+                "step": 0.25, "steps": 60, "burn_in": 5}
+        if command != "advisory":
+            out = str(tmp_path / "o")
+            flags.update({"--seed": "3", "--out": out, "--paper-scale": None, "--diagnostics": None})
+            want.update(experiment=command, seed=3, out=out, paper_scale=True, diagnostics=True,
+                        stride=1_000)
+        argv = [command, "--config", str(path)]
+        for flag, value in flags.items():
+            argv += [flag] if value is None else [flag, value]
+        assert main(argv) == 0
+        [config] = seen
+        assert {key: getattr(config, key) for key in want} == want
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "1"], ["--out", "o"], ["--paper-scale"], ["--diagnostics"]]
+    )
+    def test_advisory_refuses_the_flags_it_does_not_read(self, tmp_path, capsys, flag):
+        path = write_config(tmp_path, "dimension = 1\nn_components = 2\n")
+        with pytest.raises(SystemExit) as stop:
+            main(["advisory", "--config", str(path), *flag])
+        assert stop.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     def test_advisory_prints_and_exits_clean(self, tmp_path, capsys):
         path = write_config(tmp_path, "dimension = 1\nn_components = 2\n")

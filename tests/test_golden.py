@@ -19,7 +19,8 @@ says so. The hashes are tied to the numpy/OpenBLAS build they were
 stored with (numpy 2.4, OpenBLAS 0.3.31): another BLAS may round the
 logistic targets' matrix products differently.
 
-Run this file as a script to print the current hashes.
+Run this file as a script to print the current hashes, with the sha256
+of each file of every results case as a comment below its hash.
 """
 
 import hashlib
@@ -78,13 +79,13 @@ TRAJECTORY_HASHES = {
 }
 
 OUTPUT_HASHES = {
-    "synthetic-results": "eee3b57c452917b04cfce45b5ddbf5252fb515f04d083c17486839b567077f75",
-    "logistic-results": "51c41da0ef3da5f8bf06acb8d1677b8c8054243f92e7fb516b4fd41e21cb3231",
+    "synthetic-results": "2470e53be8f2c2668f52d29580b98344e5b24a3599c972853fecaa3c83805715",
+    "logistic-results": "56d80ddf149142d5a7de0922c0d0b632413ec7add46083a2d6e6221653a32d35",
     "synthetic-advisory": "3c2069bc7831b9890b44c910f841b515d8d85758b643201d3f5c53f6d4c93305",
     "logistic-advisory": "4aab1ae5d7e364593091937c97e6e9b65e5cfbf54b937a73e2a3079a64271050",
-    "unstandardized-results": "17e1bb1b1f0a07734aee0bbc78731e3792290a48f7a33d493aba49917dfb198b",
-    "sparse-results": "8aab25dd8105e0d6e708c66a28df9398f4ec715b335102d6526d50eb4a2e9a2e",
-    "binary-results": "8c6f0302aa71303e32cc5f4e0a1e504f03d9a85f7f7af83cd0113dff83763528",
+    "unstandardized-results": "b67ef7e7bbb315b41474e5847b49e6a713ec2e15bdceadedacfc8e82af5ed156",
+    "sparse-results": "a0fff294d4b9b2d761b8b2affb7ca876afd713cc37e8e018d188945799fadaa9",
+    "binary-results": "de011a4b6b5745a9b2eb69b27166042cf2800895dbaad1c25799b017c0be4f33",
 }
 
 SYNTHETIC_CONFIG = """
@@ -313,5 +314,7 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as scratch:
             os.chdir(scratch)
             print(f'    "{case}": "{output_hash(case)}",')
+            for path in sorted(Path(f"out-{case.split('-')[0]}").glob("*")):
+                print(f"    #   {path.name} {hashlib.sha256(path.read_bytes()).hexdigest()}")
             os.chdir(home)
     print("}")

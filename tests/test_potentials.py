@@ -186,6 +186,14 @@ class TestQuadraticPotential:
             QuadraticPotential(data=[[0.0, 1.0]], precision=[[1.0]])
         with pytest.raises(ValueError, match="^max_eigenvalue must be a real number, got True$"):
             QuadraticPotential.random(n_components=4, dimension=2, max_eigenvalue=True)
+        for value in (True, None, "1"):
+            reason = f"^min_eigenvalue must be a real number, got {value!r}$"
+            with pytest.raises(ValueError, match=reason):
+                QuadraticPotential.random(n_components=4, dimension=2, min_eigenvalue=value)
+        with pytest.raises(ValueError, match="^min_eigenvalue must be positive and finite$"):
+            QuadraticPotential.random(n_components=4, dimension=2, min_eigenvalue=0.0)
+        with pytest.raises(ValueError, match="^need min_eigenvalue <= max_eigenvalue$"):
+            QuadraticPotential.random(n_components=4, dimension=2, min_eigenvalue=11.0)
 
     def test_rejects_bad_points_and_indices(self):
         model = random_quadratic(17)
@@ -375,6 +383,15 @@ class TestLogisticPotential:
     def test_rejects_a_ridge_that_is_negative_or_not_finite(self, ridge):
         with pytest.raises(ValueError, match="^ridge weight must be nonnegative and finite$"):
             LogisticPotential(np.ones((3, 2)), np.ones(3), ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", (True, False, None, "1"))
+    def test_rejects_a_ridge_that_is_not_a_real(self, ridge):
+        with pytest.raises(ValueError, match=f"^ridge must be a real number, got {ridge!r}$"):
+            LogisticPotential(np.ones((3, 2)), np.ones(3), ridge=ridge)
+
+    def test_an_integer_zero_ridge_is_legal(self):
+        model = LogisticPotential(np.ones((3, 2)), np.ones(3), ridge=0)
+        assert model.ridge == model.strong_convexity == 0.0
 
 
 class TestGradientRows:
