@@ -36,6 +36,7 @@ Example config:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -368,9 +369,10 @@ def _publish(out_dir, files, summary):
     directory beside out_dir first; then the names in _RESULT_NAMES that
     this run did not write are removed from out_dir, and the staged files
     are renamed in, summary.json last. Other files in out_dir are left
-    alone. A failure before the renames leaves out_dir as it was; one
-    during them leaves the exception a published attribute listing what
-    was already done ('removed sg.csv', 'wrote full.csv'), in order.
+    alone. A failure before the renames leaves out_dir as it was (absent,
+    if this call made it); one during them leaves the exception a
+    published attribute listing what was already done ('removed sg.csv',
+    'wrote full.csv'), in order.
     """
     summary_text = json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"
     files = {**files, "summary.json": summary_text}
@@ -378,9 +380,11 @@ def _publish(out_dir, files, summary):
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
     done = []
+    created = False
     try:
         for name, text in files.items():
             (staging / name).write_text(text)
+        created = not out_dir.is_dir()
         out_dir.mkdir(exist_ok=True)
         for name in _RESULT_NAMES:
             if name not in files and os.path.lexists(out_dir / name):
@@ -391,6 +395,11 @@ def _publish(out_dir, files, summary):
             done.append(f"wrote {name}")
     except BaseException as err:
         err.published = done
+        if created and not done:
+            # the empty directory this call made goes too; one that another
+            # writer has filled meanwhile stays
+            with contextlib.suppress(OSError):
+                out_dir.rmdir()
         raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)

@@ -31,7 +31,11 @@ when epoch_length > 1), then the batch (None on a sarah restart, and the
 full index set, drawn from nothing, at b = N). estimate(x, draw) is the
 update and draws nothing, so a block of draws taken ahead holds exactly
 what the same calls would draw one at a time; sampler.run_chain takes one
-block per block of steps for every kind.
+block per block of steps for every kind. svrg and sarah at b = 1 < N <
+2**32 on a PCG64 generator (the one run_chain makes) take their block in
+one pass over the generator's raw outputs, _coin_and_index_draws, which
+yields the bits and the final generator state of the per-call coin and
+batch draws; other generators and batch sizes draw call by call.
 
 One-row batches (b = 1) take a row path with the bits of the batch path:
 _batch_sum adds 0.0 to the row instead of reducing it, and _commit_table
@@ -182,8 +186,13 @@ class SvrgEstimator(GradientEstimator):
         self.query_count = model.n_components
 
     def draw(self, rng, steps):
+        """The (refresh, batch) pairs of the next `steps` calls, the coin
+        drawn before the batch within each call. One-row batches from a
+        PCG64 generator come from one pass over its raw outputs, which
+        yields the bits _restart_coin and sample_batch would, in turn."""
         n, b, p = self.model.n_components, self.batch_size, self.epoch_length
-        # the coin is drawn before the batch within each call
+        if _takes_raw_pass(rng, n, b):
+            return list(zip(*_coin_and_index_draws(rng, n, p, steps, False)))
         return [(_restart_coin(rng, p), sample_batch(rng, n, b)) for _ in range(steps)]
 
     def estimate(self, x, draw):
@@ -260,7 +269,14 @@ class SarahEstimator(GradientEstimator):
         self.query_count = model.n_components
 
     def draw(self, rng, steps):
+        """The batches of the next `steps` calls, None where the restart
+        coin comes up. One-row batches from a PCG64 generator come from
+        one pass over its raw outputs, which yields the bits _restart_coin
+        and sample_batch would, in turn."""
         n, b, p = self.model.n_components, self.batch_size, self.epoch_length
+        if _takes_raw_pass(rng, n, b):
+            coins, rows = _coin_and_index_draws(rng, n, p, steps, True)
+            return [None if coin else row for coin, row in zip(coins, rows)]
         return [
             None if _restart_coin(rng, p) else sample_batch(rng, n, b)
             for _ in range(steps)
@@ -341,6 +357,70 @@ def _restart_coin(rng, epoch_length):
     # svrg's refresh and sarah's restart: true with probability
     # 1/epoch_length, and drawing nothing at epoch_length == 1
     return epoch_length == 1 or rng.random() < 1.0 / epoch_length
+
+
+def _takes_raw_pass(rng, n_components, batch_size):
+    # the one-row draws _coin_and_index_draws replays: numpy's 32-bit
+    # bounded draw from PCG64, the generator run_chain makes
+    return (
+        batch_size == 1 < n_components < 2**32
+        and type(rng.bit_generator) is np.random.PCG64
+    )
+
+
+def _coin_and_index_draws(rng, n, p, steps, skip_batch_on_coin):
+    """The restart coins and (steps, 1) int64 one-row batches of `steps`
+    svrg (skip_batch_on_coin False) or sarah (True) calls, with the bits
+    and final generator state of _restart_coin and sample_batch called in
+    turn, read from PCG64's raw 64-bit outputs in one pass.
+
+    random() is (u >> 11) * 2**-53 of a fresh output u, so it is below
+    the float 1.0 / p exactly when u is below ceil(2**53 * (1.0 / p)) << 11
+    (both products by 2**53 are exact). integers(0, n) is
+    numpy's 32-bit Lemire draw: it multiplies a 32-bit half by n, takes
+    the high word, and redraws while the low word is below 2**32 % n.
+    The half comes from PCG64's buffer (has_uint32, uinteger) when that
+    is set; else it is the low half of a fresh output, whose high half is
+    buffered. Raw outputs cannot be put back, so each fetch takes only
+    what the remaining calls are sure to use: one output per call at
+    p > 1, one per two calls at p = 1. A sarah restart at the row of a
+    true coin holds 0 and draws nothing.
+    """
+    coins = [True] * steps
+    indices = [0] * steps
+    if p == 1 and skip_batch_on_coin:
+        return coins, np.zeros((steps, 1), dtype=np.int64)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    has_half, half = state["has_uint32"], state["uinteger"]
+    coin_limit = math.ceil(2**53 * (1.0 / p)) << 11
+    reject_below = 2**32 % n
+    raw, pos = [], 0
+    for k in range(steps):
+        if p > 1:
+            if pos == len(raw):
+                raw, pos = bitgen.random_raw(steps - k).tolist(), 0
+            coin = coins[k] = raw[pos] < coin_limit
+            pos += 1
+            if coin and skip_batch_on_coin:
+                continue
+        while True:
+            if has_half:
+                product, has_half = half * n, 0
+            else:
+                if pos == len(raw):
+                    fetch = steps - k if p > 1 else (steps - k + 1) // 2
+                    raw, pos = bitgen.random_raw(fetch).tolist(), 0
+                word = raw[pos]
+                pos += 1
+                product, half, has_half = (word & 0xFFFFFFFF) * n, word >> 32, 1
+            if product & 0xFFFFFFFF >= reject_below:
+                break
+        indices[k] = product >> 32
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = has_half, half
+    bitgen.state = state
+    return coins, np.array(indices, dtype=np.int64).reshape(steps, 1)
 
 
 def _batch_sum(rows):

@@ -66,8 +66,10 @@ _BLOCK_STEPS = 256
 # floor, a positive and finite real to None
 _SETTINGS = {
     "n_steps": 0, "step": None, "batch_size": 1, "epoch_length": 1, "gamma": None,
-    "xi": None, "burn_in": 0, "record_stride": 1, "n_chains": 1,
+    "xi": None, "burn_in": 0, "record_stride": 1, "n_chains": 1, "seed": 0,
 }
+# SamplerConfig's switches, each True or False
+_FLAGS = ("diagnostics", "record_q", "record_velocity", "suppress_noise")
 
 
 class ChainDivergence(RuntimeError):
@@ -97,6 +99,7 @@ class SamplerConfig:
     to 2, which keeps delta = gamma xi h of order h/L. Diagnostics are
     off by default: the squared gradient error costs an exact gradient
     per recorded row (evaluated after the loop) and q values cost O(N d).
+    seed is a nonnegative integer, and the four switches are True or False.
     """
 
     n_steps: int
@@ -126,6 +129,10 @@ class SamplerConfig:
                 _check_positive(name, value)
             else:
                 _check_count(name, value, floor)
+        for name in _FLAGS:
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValueError(f"{name} must be True or False, got {value!r}")
         if self.n_steps > 0 and self.burn_in >= self.n_steps:
             raise ValueError("burn_in must be smaller than n_steps")
 

@@ -177,6 +177,8 @@ class TestLoadConfig:
             ("batch", True, "batch_size must be an integer, got True"),
             ("steps", 10000.7, "n_steps must be an integer, got 10000.7"),
             ("step", "0.1", "step must be a real number, got '0.1'"),
+            ("seed", True, "seed must be an integer, got True"),
+            ("diagnostics", "no", "diagnostics must be True or False, got 'no'"),
         ],
     )
     def test_python_overrides_meet_the_sampler_rules(self, key, value, reason):
@@ -433,6 +435,22 @@ class TestResultDirectory:
         assert capsys.readouterr().err.splitlines()[-1] == (
             f"run stopped; in {out.resolve()}: removed svrg.csv, removed saga.csv, "
             "wrote sg.csv; the rest left as it was"
+        )
+
+    def test_failed_first_rename_leaves_no_new_directory(self, tmp_path, monkeypatch, capsys):
+        path = write_config(tmp_path, TINY_SYNTHETIC)
+        out = tmp_path / "res"
+
+        def first_call_fails(*args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", first_call_fails)
+        capsys.readouterr()
+        with pytest.raises(OSError, match="rename failed"):
+            main(["synthetic", "--config", str(path), "--out", str(out)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"run stopped; no results written, {out.resolve()} left as it was"
         )
 
     def test_rerun_with_fewer_methods_drops_their_stale_files(self, tmp_path):

@@ -16,6 +16,8 @@ import pytest
 from vrhmc.estimators import (
     _RESUM_INTERVAL,
     _batch_sum,
+    _coin_and_index_draws,
+    _restart_coin,
     ESTIMATOR_KINDS,
     make_estimator,
     mseb_descriptor,
@@ -128,6 +130,121 @@ class TestDraws:
         for calls, draw in enumerate(est.draw(np.random.default_rng(23), 5), start=1):
             est.estimate(x, draw)
             assert est.query_count == 6 * calls
+
+
+def per_call_draws(rng, kind, n, p, steps):
+    """The draws of `steps` svrg or sarah calls, made one call at a time
+    through _restart_coin and sample_batch."""
+    draws = []
+    for _ in range(steps):
+        coin = _restart_coin(rng, p)
+        if kind == "svrg":
+            draws.append((coin, sample_batch(rng, n, 1)))
+        else:
+            draws.append(None if coin else sample_batch(rng, n, 1))
+    return draws
+
+
+def twin_generators(seed, buffered, bit_generator=np.random.PCG64):
+    """Two generators in one state; buffered leaves PCG64's spare 32-bit
+    half set, as one odd integers call does."""
+    twins = [np.random.Generator(bit_generator(seed)) for _ in range(2)]
+    if buffered:
+        for rng in twins:
+            rng.integers(0, 3)
+    return twins
+
+
+def assert_same_generators(rng, twin):
+    np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
+    assert rng.random() == twin.random()
+    assert rng.integers(0, 1000) == twin.integers(0, 1000)
+    assert rng.integers(0, 7) == twin.integers(0, 7)
+
+
+class TestOneRowPass:
+    """svrg and sarah at b = 1 read their coins and indices from PCG64's raw
+    outputs in one pass; it must give the bits and the generator state of
+    the per-call functions. A numpy release that changes how random() or
+    integers() use the bit generator fails here."""
+
+    @pytest.mark.parametrize("buffered", (False, True))
+    @pytest.mark.parametrize("steps", (1, 255, 256, 257))
+    @pytest.mark.parametrize("epoch_length", (1, 2, 3, 13))
+    @pytest.mark.parametrize("kind", ("svrg", "sarah"))
+    def test_draw_replays_the_per_call_functions(self, kind, epoch_length, steps, buffered):
+        model = quadratic(31, n=13)
+        est = make_estimator(
+            kind, model, np.zeros(model.dimension), batch_size=1, epoch_length=epoch_length
+        )
+        rng, twin = twin_generators(steps + epoch_length, buffered)
+        assert rng.bit_generator.state["has_uint32"] == int(buffered)
+        got = est.draw(rng, steps)
+        want = per_call_draws(twin, kind, 13, epoch_length, steps)
+        assert len(got) == steps
+        for g, w in zip(got, want):
+            np.testing.assert_equal(g, w)
+            batch, ref = (g[1], w[1]) if kind == "svrg" else (g, w)
+            if ref is not None:
+                assert batch.dtype == ref.dtype and batch.shape == ref.shape
+        assert_same_generators(rng, twin)
+
+    @pytest.mark.parametrize("buffered", (False, True))
+    @pytest.mark.parametrize("epoch_length", (1, 2, 3))
+    @pytest.mark.parametrize("kind", ("svrg", "sarah"))
+    def test_pass_replays_rejected_draws(self, kind, epoch_length, buffered):
+        # at n = 2**31 + 5 the 32-bit draw rejects about half its tries
+        n, steps = 2**31 + 5, 257
+        rng, twin = twin_generators(epoch_length, buffered)
+        coins, rows = _coin_and_index_draws(rng, n, epoch_length, steps, kind == "sarah")
+        want = per_call_draws(twin, kind, n, epoch_length, steps)
+        assert rows.shape == (steps, 1) and rows.dtype == np.int64
+        for coin, row, w in zip(coins, rows, want):
+            if kind == "svrg":
+                assert coin is w[0]
+                np.testing.assert_array_equal(row, w[1])
+            else:
+                assert coin is (w is None)
+                if w is not None:
+                    np.testing.assert_array_equal(row, w)
+        assert_same_generators(rng, twin)
+
+    @pytest.mark.parametrize("kind", ("svrg", "sarah"))
+    def test_other_bit_generators_draw_per_call(self, kind):
+        model = quadratic(32, n=13)
+        est = make_estimator(kind, model, np.zeros(model.dimension), epoch_length=3)
+        rng, twin = twin_generators(3, False, np.random.Philox)
+        got = est.draw(rng, 257)
+        want = per_call_draws(twin, kind, 13, 3, 257)
+        for g, w in zip(got, want):
+            np.testing.assert_equal(g, w)
+        assert_same_generators(rng, twin)
+
+    @pytest.mark.parametrize("kind", ("svrg", "sarah"))
+    def test_single_component_draws_no_index(self, kind):
+        # b = N = 1: the batch is the full index set, drawn from nothing
+        model = quadratic(33, n=1)
+        est = make_estimator(kind, model, np.zeros(model.dimension), epoch_length=3)
+        rng, twin = twin_generators(4, True)
+        draws = est.draw(rng, 257)
+        coins = [twin.random() < 1 / 3 for _ in range(257)]
+        for draw, coin in zip(draws, coins):
+            if kind == "svrg":
+                assert draw[0] is coin
+                np.testing.assert_array_equal(draw[1], [0])
+            else:
+                assert (draw is None) is coin
+                if draw is not None:
+                    np.testing.assert_array_equal(draw, [0])
+        assert_same_generators(rng, twin)
+
+    def test_sarah_restarting_every_call_takes_nothing(self):
+        model = quadratic(34, n=13)
+        est = make_estimator("sarah", model, np.zeros(model.dimension), epoch_length=1)
+        rng = twin_generators(5, True)[0]
+        before = rng.bit_generator.state
+        assert est.draw(rng, 256) == [None] * 256
+        assert rng.bit_generator.state == before
 
 
 class TestQueryAccounting:

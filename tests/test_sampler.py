@@ -89,6 +89,16 @@ BAD_SAMPLER_FIELDS = [
     (dict(record_stride=True), "^record_stride must be an integer, got True$"),
     # only epoch_length and xi take None, resolved at run time
     (dict(n_steps=None), "^n_steps must be an integer, got None$"),
+    # the seed is a nonnegative integer, not a bool or a float
+    (dict(seed=True), "^seed must be an integer, got True$"),
+    (dict(seed=2.5), "^seed must be an integer, got 2.5$"),
+    (dict(seed=-1), "^seed must be nonnegative, got -1$"),
+    # switches are True or False, not a truthy word or number
+    (dict(diagnostics="no"), "^diagnostics must be True or False, got 'no'$"),
+    (dict(record_q=1), "^record_q must be True or False, got 1$"),
+    (dict(record_velocity=None), "^record_velocity must be True or False, got None$"),
+    (dict(suppress_noise=np.bool_(True)),
+     "^suppress_noise must be True or False, got "),
 ]
 
 
