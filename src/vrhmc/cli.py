@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -319,7 +320,7 @@ def _report_timing(method, n_steps, ensemble):
     and the peak resident memory of the process so far."""
     records = ensemble.records
     wall = sum(r.wall_time for r in records)
-    chain_steps = max(n_steps * len(records), 1)
+    chain_steps = n_steps * len(records)
     queries = sum(r.total_queries for r in records)
     print(
         f"{method}: {wall:.3f} s wall over {len(records)} chain(s), "
@@ -369,22 +370,25 @@ def _publish(out_dir, files, summary):
     directory beside out_dir first; then the names in _RESULT_NAMES that
     this run did not write are removed from out_dir, and the staged files
     are renamed in, summary.json last. Other files in out_dir are left
-    alone. A failure before the renames leaves out_dir as it was (absent,
-    if this call made it); one during them leaves the exception a
+    alone. A failure before the renames leaves out_dir as it was, and
+    removes the directories this call made (out_dir and its missing
+    parents) that are still empty; one during them leaves the exception a
     published attribute listing what was already done ('removed sg.csv',
     'wrote full.csv'), in order.
     """
     summary_text = json.dumps(_jsonable(summary), indent=2, sort_keys=True) + "\n"
     files = {**files, "summary.json": summary_text}
     out_dir = Path(out_dir)
+    # the directories this call makes, innermost first
+    made = list(itertools.takewhile(lambda path: not path.exists(), out_dir.parents))
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}.staging-", dir=out_dir.parent))
     done = []
-    created = False
     try:
         for name, text in files.items():
             (staging / name).write_text(text)
-        created = not out_dir.is_dir()
+        if not out_dir.is_dir():
+            made.insert(0, out_dir)
         out_dir.mkdir(exist_ok=True)
         for name in _RESULT_NAMES:
             if name not in files and os.path.lexists(out_dir / name):
@@ -395,14 +399,15 @@ def _publish(out_dir, files, summary):
             done.append(f"wrote {name}")
     except BaseException as err:
         err.published = done
-        if created and not done:
-            # the empty directory this call made goes too; one that another
-            # writer has filled meanwhile stays
-            with contextlib.suppress(OSError):
-                out_dir.rmdir()
         raise
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+        if not done:
+            # nothing was published; a directory another writer has filled
+            # meanwhile stays
+            for path in made:
+                with contextlib.suppress(OSError):
+                    path.rmdir()
     return summary
 
 
@@ -483,7 +488,7 @@ def run_synthetic(config):
         gradient_cell = (
             f"{entry['gradient_mse']:.6g}" if "gradient_mse" in entry else "off"
         )
-        queries = np.mean(entry["total_queries"]) / max(entry["n_steps"], 1)
+        queries = np.mean(entry["total_queries"]) / entry["n_steps"]
         table.append(
             [
                 method,

@@ -6,10 +6,10 @@ The on-disk format is one example per line,
 
 with 1-based, strictly increasing feature indices and finite values;
 an absent index is a zero. A Dataset holds the labels, normalized to
-{-1, +1}, and a dense (rows, features) array. The three label
-conventions found in common binary benchmark files are supported:
-{-1, +1} kept as is, {0, 1} mapped order-preservingly to {-1, +1}, and
-{1, 2} likewise.
+{-1, +1}, and a dense (rows, features) array. The labels must follow
+one of the three conventions of common binary benchmark files, told by
+the labels read: {-1, +1} kept as is, {0, 1} mapped order-preservingly
+to {-1, +1}, and {1, 2} likewise.
 
 A document is printable ASCII plus tab, CR and LF; any other byte is an
 error naming its line. Lines end at LF, CRLF or a lone CR; tokens are
@@ -356,26 +356,8 @@ def _check_line(line, lineno):
     return index
 
 
-def _map_labels(raw, label_map):
+def _map_labels(raw):
     raw = np.asarray(raw, dtype=float)
-    if isinstance(label_map, dict):
-        # look up each distinct label once, then gather by row
-        observed = np.unique(raw)
-        slot = np.searchsorted(observed, raw)
-        uncovered = np.array([value not in label_map for value in observed], dtype=bool)
-        if uncovered.any():
-            k = int(np.argmax(uncovered[slot]))
-            raise LibsvmFormatError(
-                f"row {k}: label {raw[k]!r} not covered by the label map"
-            )
-        targets = np.empty_like(observed)
-        for j, value in enumerate(observed):
-            targets[j] = label_map[value]
-        if not np.all(np.isin(targets, (-1.0, 1.0))):
-            raise LibsvmFormatError("label map must produce values in {-1, +1}")
-        return targets[slot]
-    if label_map != "auto":
-        raise ValueError("label_map must be 'auto' or a dict")
     observed = np.unique(raw)
     # order-preserving policies: the smaller raw label becomes -1
     for low, high in ((-1.0, 1.0), (0.0, 1.0), (1.0, 2.0)):
@@ -387,16 +369,15 @@ def _map_labels(raw, label_map):
     )
 
 
-def parse_libsvm(source, label_map="auto", n_features=None):
+def parse_libsvm(source, n_features=None):
     """Parse LIBSVM text into a Dataset.
 
     source may be a path, an open text or binary handle (such as
     bz2.open(path)), or an iterable of lines; a line of an iterable is
-    one line even if it holds a CR or LF. label_map is either 'auto'
-    (recognize the three standard binary label conventions) or an explicit
-    {raw: +-1} dict. n_features overrides the inferred feature count (the
-    maximum index seen); it must not be smaller than what the data
-    requires.
+    one line even if it holds a CR or LF. The labels must follow one of
+    the three conventions the module docstring names. n_features overrides
+    the inferred feature count (the maximum index seen); it must not be
+    smaller than what the data requires.
 
     Errors come in a fixed order. The first line with a structural error
     wins: an unreadable label, a malformed feature, an index that is not
@@ -503,7 +484,7 @@ def parse_libsvm(source, label_map="auto", n_features=None):
     del index
     features = np.zeros((n_rows, n_features))
     features.reshape(-1)[flat] = values
-    return Dataset(labels=_map_labels(labels, label_map), features=features)
+    return Dataset(labels=_map_labels(labels), features=features)
 
 
 def train_test_split(dataset, train_fraction, seed):

@@ -97,14 +97,13 @@ def sample_batch(rng, n_components, batch_size):
 
     batch_size == n_components returns the full index set without
     consuming random draws, so full-batch runs stay aligned with
-    full-gradient runs (sg at b = N) that share a noise stream.
+    full-gradient runs (sg at b = N) that share a noise stream. Any
+    smaller batch is one rng.choice call; at b = 1 that draws the index
+    and leaves the generator state integers(0, n_components) would.
     """
     _check_count("batch_size", batch_size, 1, n_components)
     if batch_size == n_components:
         return np.arange(n_components)
-    if batch_size == 1:
-        # the scalar draw takes the value size=1 would, minus its array-size work
-        return np.array([rng.integers(0, n_components)])
     return rng.choice(n_components, size=batch_size, replace=False)
 
 

@@ -1,12 +1,13 @@
 """Chain driver: single chains, seeded ensembles, and convergence tracking.
 
 run_chain couples one gradient estimator to the exact gradient-conditioned
-integrator step and records a thinned trace of the trajectory. Every chain
-derives two independent generator streams from its seed, one for the
-estimator's batch and restart draws and one for the integrator noise, so
-changing the estimator never perturbs the thermal noise sequence. That
-makes runs with different estimators under the same seed exactly paired,
-and makes full-batch runs collapse bit-for-bit onto full-gradient runs.
+integrator step for n_steps >= 1 noisy steps and records a thinned trace
+of the trajectory. Every chain derives two independent generator streams
+from its seed, one for the estimator's batch and restart draws and one
+for the integrator noise, so changing the estimator never perturbs the
+thermal noise sequence. That makes runs with different estimators under
+the same seed exactly paired, and makes full-batch runs collapse
+bit-for-bit onto full-gradient runs.
 
 The step loop draws its randomness in blocks of _BLOCK_STEPS steps: one
 integrator.sample_noise call for the noise and one estimator.draw call
@@ -65,29 +66,24 @@ _BLOCK_STEPS = 256
 # SamplerConfig's checked settings in field order: a count maps to its
 # floor, a positive and finite real to None
 _SETTINGS = {
-    "n_steps": 0, "step": None, "batch_size": 1, "epoch_length": 1, "gamma": None,
+    "n_steps": 1, "step": None, "batch_size": 1, "epoch_length": 1, "gamma": None,
     "xi": None, "burn_in": 0, "record_stride": 1, "n_chains": 1, "seed": 0,
 }
 # SamplerConfig's switches, each True or False
-_FLAGS = ("diagnostics", "record_q", "record_velocity", "suppress_noise")
+_FLAGS = ("diagnostics", "record_q", "record_velocity")
 
 
 class ChainDivergence(RuntimeError):
-    """Raised when a chain's position norm explodes or turns non-finite.
+    """Raised when a chain's position norm explodes or turns non-finite;
+    it carries all six fields its message names."""
 
-    run_chain also passes the estimator and the position norm with its
-    limit; an error built from the first three fields leaves them None.
-    """
-
-    def __init__(self, chain_id, step_index, delta, estimator=None, norm=None, limit=None):
+    def __init__(self, chain_id, step_index, delta, estimator, norm, limit):
         self.chain_id, self.step_index, self.delta = chain_id, step_index, delta
         self.estimator, self.norm, self.limit = estimator, norm, limit
-        who = f"chain {chain_id}" if estimator is None else f"{estimator} chain {chain_id}"
-        norms = "" if norm is None else f"; norm {norm:.6g}, limit {limit:.6g}"
         super().__init__(
-            f"{who} diverged at step {step_index} "
-            f"(position norm exceeded {_DIVERGENCE_FACTOR:.0e} x initial scale{norms}; "
-            f"delta={delta!r})"
+            f"{estimator} chain {chain_id} diverged at step {step_index} "
+            f"(position norm exceeded {_DIVERGENCE_FACTOR:.0e} x initial scale; "
+            f"norm {norm:.6g}, limit {limit:.6g}; delta={delta!r})"
         )
 
 
@@ -99,7 +95,8 @@ class SamplerConfig:
     to 2, which keeps delta = gamma xi h of order h/L. Diagnostics are
     off by default: the squared gradient error costs an exact gradient
     per recorded row (evaluated after the loop) and q values cost O(N d).
-    seed is a nonnegative integer, and the four switches are True or False.
+    n_steps is at least 1, seed is a nonnegative integer, and the three
+    switches are True or False.
     """
 
     n_steps: int
@@ -117,7 +114,6 @@ class SamplerConfig:
     diagnostics: bool = False
     record_q: bool = False
     record_velocity: bool = False
-    suppress_noise: bool = False
 
     def __post_init__(self):
         _check_kind(self.estimator)
@@ -133,7 +129,7 @@ class SamplerConfig:
             value = getattr(self, name)
             if type(value) is not bool:
                 raise ValueError(f"{name} must be True or False, got {value!r}")
-        if self.n_steps > 0 and self.burn_in >= self.n_steps:
+        if self.burn_in >= self.n_steps:
             raise ValueError("burn_in must be smaller than n_steps")
 
     def resolve_xi(self, model):
@@ -160,8 +156,7 @@ class RunRecord:
     Row r describes iteration iterations[r]: the position BEFORE that
     step, the potential there, the cumulative gradient queries including
     the estimate used by that step, and (optionally) the squared error of
-    that estimate and the q value of the transition it produced. With
-    n_steps == 0 the record holds the single initial row.
+    that estimate and the q value of the transition it produced.
     """
 
     chain_id: int
@@ -210,7 +205,7 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
 
     n_steps = config.n_steps
     stride = config.record_stride
-    n_rows = 1 if n_steps == 0 else (n_steps + stride - 1) // stride
+    n_rows = (n_steps + stride - 1) // stride
     queries = np.empty(n_rows, dtype=np.int64)
     positions = np.empty((n_rows, d))
     velocities = np.empty((n_rows, d)) if config.record_velocity else None
@@ -224,10 +219,7 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
     row = 0
     for first in range(0, n_steps, _BLOCK_STEPS):
         m = min(_BLOCK_STEPS, n_steps - first)
-        if config.suppress_noise:
-            noise = np.zeros((m, 2, d))
-        else:
-            noise = sample_noise(coeffs, d, noise_rng, steps=m)
+        noise = sample_noise(coeffs, d, noise_rng, steps=m)
         draws = estimator.draw(est_rng, m)
         for i in range(m):
             k = first + i
@@ -250,21 +242,11 @@ def run_chain(config, model, seed_seq=None, chain_id=0):
             if not norm_sq <= limit_sq:  # catches NaN as well as blowup
                 norm = float(np.sqrt(norm_sq))
                 raise ChainDivergence(chain_id, k, coeffs.delta, config.estimator, norm, limit)
-    if n_steps == 0:
-        queries[0] = estimator.query_count
-        positions[0] = x
-        if velocities is not None:
-            velocities[0] = state[1]
-        if record_q:
-            q_values[0] = np.nan
     potentials = np.fromiter(
         (model.potential_full(p) for p in positions), dtype=float, count=n_rows
     )
-    if estimates is None:
-        grad_errs = None
-    elif n_steps == 0:
-        grad_errs = np.full(1, np.nan)
-    else:
+    grad_errs = None
+    if estimates is not None:
         err = estimates - model.gradient_rows(positions)
         # stacked (1, d) @ (d, 1) products run the same BLAS dot as err @ err
         grad_errs = (err[:, None, :] @ err[:, :, None])[:, 0, 0]

@@ -94,21 +94,8 @@ def _read_lines(source):
     return list(source)
 
 
-def _map_labels(raw, label_map):
+def _map_labels(raw):
     raw = np.asarray(raw, dtype=float)
-    if isinstance(label_map, dict):
-        mapped = np.empty_like(raw)
-        for k, value in enumerate(raw):
-            if value not in label_map:
-                raise LibsvmFormatError(
-                    f"row {k}: label {value!r} not covered by the label map"
-                )
-            mapped[k] = label_map[value]
-        if not np.all(np.isin(mapped, (-1.0, 1.0))):
-            raise LibsvmFormatError("label map must produce values in {-1, +1}")
-        return mapped
-    if label_map != "auto":
-        raise ValueError("label_map must be 'auto' or a dict")
     observed = set(np.unique(raw))
     # order-preserving policies: the smaller raw label becomes -1
     for accepted, mapping in (
@@ -126,14 +113,14 @@ def _map_labels(raw, label_map):
     )
 
 
-def parse_libsvm(source, label_map="auto", n_features=None):
+def parse_libsvm(source, n_features=None):
     """Parse LIBSVM text into a Dataset.
 
     source may be a path, an open text handle, or an iterable of lines.
-    label_map is either 'auto' (recognize the three standard binary label
-    conventions) or an explicit {raw: +-1} dict. n_features overrides the
-    inferred feature count (the maximum index seen); it must not be
-    smaller than what the data requires.
+    The labels must follow one of the three standard binary label
+    conventions. n_features overrides the inferred feature count (the
+    maximum index seen); it must not be smaller than what the data
+    requires.
     """
     lines = _read_lines(source)
     raw_labels = []
@@ -198,7 +185,7 @@ def parse_libsvm(source, label_map="auto", n_features=None):
         )
     features = np.zeros((len(raw_labels), n_features))
     features[np.repeat(np.arange(len(raw_labels)), np.diff(indptr)), indices] = values
-    return Dataset(labels=_map_labels(raw_labels, label_map), features=features)
+    return Dataset(labels=_map_labels(raw_labels), features=features)
 
 
 def emit_libsvm(dataset):

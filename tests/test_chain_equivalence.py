@@ -48,10 +48,10 @@ def reference_chain(config, model, seed_seq=None, chain_id=0):
         batch_size=config.batch_size,
         epoch_length=config.epoch_length,
     )
-    limit_sq = (_DIVERGENCE_FACTOR * max(float(np.linalg.norm(x)), 1.0)) ** 2
+    limit = _DIVERGENCE_FACTOR * max(float(np.linalg.norm(x)), 1.0)
 
     n_steps, stride = config.n_steps, config.record_stride
-    n_rows = 1 if n_steps == 0 else (n_steps + stride - 1) // stride
+    n_rows = (n_steps + stride - 1) // stride
     out = {
         "iterations": np.empty(n_rows, dtype=np.int64),
         "queries": np.empty(n_rows, dtype=np.int64),
@@ -75,12 +75,9 @@ def reference_chain(config, model, seed_seq=None, chain_id=0):
             if config.diagnostics:
                 err = grad - model.gradient_full(x)
                 out["grad_err_sq"][row] = err @ err
-        if config.suppress_noise:
-            e_x = e_v = 0.0
-        else:
-            z = noise_rng.standard_normal((2, d))
-            e_x = c.l_xx * z[0]
-            e_v = c.l_vx * z[0] + c.l_vv * z[1]
+        z = noise_rng.standard_normal((2, d))
+        e_x = c.l_xx * z[0]
+        e_v = c.l_vx * z[0] + c.l_vv * z[1]
         x_prev = x
         x, v = (
             x + c.c_xv * v - c.c_xg * grad + e_x,
@@ -90,19 +87,9 @@ def reference_chain(config, model, seed_seq=None, chain_id=0):
             if config.record_q:
                 out["q_values"][row] = q_metric(model, x_prev, x)
             row += 1
-        if not x @ x <= limit_sq:
-            raise ChainDivergence(chain_id, k, c.delta)
-    if n_steps == 0:
-        out["iterations"][0] = 0
-        out["queries"][0] = estimator.query_count
-        out["potentials"][0] = model.potential_full(x)
-        out["positions"][0] = x
-        if config.record_velocity:
-            out["velocities"][0] = v
-        if config.diagnostics:
-            out["grad_err_sq"][0] = np.nan
-        if config.record_q:
-            out["q_values"][0] = np.nan
+        if not x @ x <= limit**2:
+            norm = float(np.sqrt(x @ x))
+            raise ChainDivergence(chain_id, k, c.delta, config.estimator, norm, limit)
     out["total_queries"] = int(estimator.query_count)
     return out
 
@@ -165,39 +152,6 @@ def test_matches_per_step_reference(target, kind, batch_size, stride):
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_matches_reference_without_noise(kind):
-    model = quadratic_target()
-    config = SamplerConfig(
-        n_steps=300,
-        step=0.1,
-        estimator=kind,
-        burn_in=0,
-        x0=1.5,
-        seed=5,
-        diagnostics=True,
-        record_velocity=True,
-        suppress_noise=True,
-    )
-    assert_same_chain(run_chain(config, model), reference_chain(config, model))
-
-
-@pytest.mark.parametrize("kind", KINDS)
-def test_matches_reference_at_zero_steps(kind):
-    model = logistic_target()
-    config = SamplerConfig(
-        n_steps=0,
-        step=0.1,
-        estimator=kind,
-        burn_in=0,
-        x0=0.25,
-        diagnostics=True,
-        record_q=True,
-        record_velocity=True,
-    )
-    assert_same_chain(run_chain(config, model), reference_chain(config, model))
-
-
-@pytest.mark.parametrize("kind", KINDS)
 def test_divergence_stops_at_the_reference_step(kind):
     # delta = 0.46 is just past the stable range for curvature 20, so the
     # chain grows slowly and blows up after 600 to 1300 steps, several
@@ -215,3 +169,4 @@ def test_divergence_stops_at_the_reference_step(kind):
     assert got.value.step_index == expected.value.step_index
     assert got.value.chain_id == expected.value.chain_id == 2
     assert got.value.delta == expected.value.delta
+    assert str(got.value) == str(expected.value)

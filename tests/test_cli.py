@@ -160,7 +160,7 @@ class TestLoadConfig:
         assert config.steps == 7
         assert config.seed == 4  # None override is ignored
 
-    # label_map is no config key: the label map is parse_libsvm's own argument
+    # label_map is no config key: a file's labels are mapped by their convention
     @pytest.mark.parametrize("line", ["stepz = 5", "label_map = auto"])
     def test_unknown_key_reports_location(self, tmp_path, line):
         path = write_config(tmp_path, f"steps = 10\n{line}\n")
@@ -453,6 +453,16 @@ class TestResultDirectory:
             f"run stopped; no results written, {out.resolve()} left as it was"
         )
 
+    @pytest.mark.parametrize("name", ("new/res", "new/sub/res"))
+    def test_failed_first_rename_leaves_no_new_parents(self, tmp_path, monkeypatch, name):
+        def first_call_fails(*args):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(cli.os, "replace", first_call_fails)
+        with pytest.raises(OSError, match="rename failed"):
+            cli._publish(tmp_path / name, {"sg.csv": "iter\n"}, {})
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_with_fewer_methods_drops_their_stale_files(self, tmp_path):
         path, out = self.first_run(tmp_path, methods="sg, saga, svrg")
         (out / "notes.txt").write_text("kept\n")
@@ -637,6 +647,7 @@ BAD_METHOD_CASES = [
     ("full", "full.batch = 60", r"batch_size must be in \[1, 50\], got 60"),
     ("sarah", "sarah.step = nan", "step must be positive and finite"),
     ("sarah", "sarah.step = inf", "step must be positive and finite"),
+    ("sarah", "sarah.steps = 0", "n_steps must be at least 1, got 0"),
 ]
 
 
@@ -644,7 +655,7 @@ class TestFailBeforeSampling:
     @pytest.mark.parametrize(
         "method,line,reason", BAD_METHOD_CASES,
         ids=("sarge-batch", "sarge-steps", "full-batch", "sarah-nan-step",
-             "sarah-inf-step"),
+             "sarah-inf-step", "sarah-zero-steps"),
     )
     def test_bad_method_setting_fails_naming_the_method(
         self, tmp_path, capsys, method, line, reason

@@ -57,17 +57,9 @@ class TestParse:
         data = parse_libsvm(["2 1:1.0", "1 1:2.0"])
         np.testing.assert_array_equal(data.labels, [1.0, -1.0])
 
-    def test_label_policy_explicit_map(self):
-        data = parse_libsvm(["7 1:1.0", "9 1:2.0"], label_map={7: -1, 9: 1})
-        np.testing.assert_array_equal(data.labels, [-1.0, 1.0])
-
-    def test_explicit_map_must_cover_all_labels(self):
-        with pytest.raises(LibsvmFormatError):
-            parse_libsvm(["7 1:1.0", "8 1:2.0"], label_map={7: -1})
-
-    def test_explicit_map_must_hit_plus_minus_one(self):
-        with pytest.raises(LibsvmFormatError):
-            parse_libsvm(["7 1:1.0"], label_map={7: 3})
+    def test_has_no_explicit_label_map(self):
+        with pytest.raises(TypeError):
+            parse_libsvm(["7 1:1.0", "9 1:2.0"], label_map={})
 
     def test_unknown_label_alphabet_is_rejected(self):
         with pytest.raises(LibsvmFormatError) as err:
@@ -352,8 +344,7 @@ class TestParseMatchesReference:
             # ... as a label
             ("12345678901234 1:1\n123456789012345 1:2\n", {}),
             ("1234567890123456 1:1\n-12345678901234567 1:2\n", {}),
-            ("9007199254740993 1:1\n-9007199254740991 1:1\n",
-             {"label_map": {9007199254740992: 1, -9007199254740991: -1}}),
+            ("9007199254740993 1:1\n-9007199254740991 1:1\n", {}),
             ("0000000000000001 1:1\n-000000000000000001 1:2\n", {}),
             # ... as an index
             ("1 12345678901234:1\n", {"n_features": 5}),
@@ -377,7 +368,7 @@ class TestParseMatchesReference:
         [
             ("-0 1:1\n1 1:2\n", {}),
             ("+0 1:1\n-000 1:2\n1 1:3\n", {}),
-            ("-0 1:1\n+0 1:2\n", {"label_map": {0: -1}}),
+            ("-0 1:1\n+0 1:2\n", {}),
             ("1 1:-0 2:+0 3:-000 4:0 5:+000\n-1 2:-0\n", {}),
             ("1 +3:-0\n-1 +3:1 4:+0\n", {}),
             ("1 -0:1\n", {}),
@@ -729,15 +720,6 @@ class TestExactErrors:
             "n_features=2 is smaller than the observed maximum index (5)",
         )
 
-    def test_label_map_messages(self, kind, tmp_path):
-        result = _parse_message("7 1:1\n8 1:2\n", tmp_path, kind, label_map={7: -1})
-        assert result == (
-            LibsvmFormatError,
-            f"row 1: label {np.float64(8.0)!r} not covered by the label map",
-        )
-        result = _parse_message("7 1:1\n", tmp_path, kind, label_map={7: 3})
-        assert result == (LibsvmFormatError, "label map must produce values in {-1, +1}")
-
     def test_signed_index_is_accepted(self, kind, tmp_path):
         data = parse_libsvm(as_source(kind, "+1 +3:1 +4:-2.5\n", tmp_path))
         np.testing.assert_array_equal(data.features, [[0.0, 0.0, 1.0, -2.5]])
@@ -747,39 +729,17 @@ class TestOrderPreservingLabels:
     @pytest.mark.parametrize("low, high", [(0.0, 1.0), (1.0, 2.0)])
     def test_smaller_label_becomes_minus_one(self, low, high):
         raw = np.array([high, low, low, high, high, low])
-        mapped = _map_labels(raw, "auto")
+        mapped = _map_labels(raw)
         assert mapped.dtype == np.float64 and mapped.shape == (6,)
         np.testing.assert_array_equal(mapped, [1.0, -1.0, -1.0, 1.0, 1.0, -1.0])
-        assert mapped.tobytes() == oracles._map_labels(raw, "auto").tobytes()
+        assert mapped.tobytes() == oracles._map_labels(raw).tobytes()
 
     @pytest.mark.parametrize("value, want", [(0.0, -1.0), (1.0, 1.0), (2.0, 1.0)])
     def test_one_class_documents(self, value, want):
         # a lone 1 reads as the {-1, +1} convention, which is tried first
-        mapped = _map_labels(np.full(3, value), "auto")
+        mapped = _map_labels(np.full(3, value))
         assert mapped.dtype == np.float64 and mapped.shape == (3,)
         np.testing.assert_array_equal(mapped, np.full(3, want))
-
-    @pytest.mark.parametrize(
-        "raw, label_map",
-        [
-            ([7.0, 8.0, 7.0, 8.0], {7: -1, 8: 1.0}),
-            ([7.0] * 50 + [9.0, 8.0, 9.0], {7: -1, 8: 1}),
-            ([1.0, np.nan, 1.0], {1: 1}),
-            ([-0.0, 0.0, 1.0, -0.0], {0: -1, 1: 1}),
-            ([2.0, 1.0, 2.0], {1: -1, 2: 3}),
-            ([1.0, 5.0], {1: -1}),
-        ],
-        ids=["covered", "first uncovered row", "nan", "signed zeros", "not +-1",
-             "uncovered beats not +-1"],
-    )
-    def test_explicit_map_matches_reference(self, raw, label_map):
-        def mapped(map_labels):
-            try:
-                return map_labels(np.array(raw), label_map).tobytes()
-            except LibsvmFormatError as err:
-                return str(err)
-
-        assert mapped(_map_labels) == mapped(oracles._map_labels)
 
 
 class TestRoundTrip:

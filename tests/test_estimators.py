@@ -68,18 +68,28 @@ class TestSampleBatch:
             freq = float(np.mean(draws == i))
             assert 0.313 <= freq <= 0.353, f"index {i} frequency {freq}"
 
+    @pytest.mark.parametrize("buffered", (False, True), ids=("fresh", "buffered"))
+    @pytest.mark.parametrize(
+        "bit_generator",
+        (np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937),
+        ids=lambda bit_generator: bit_generator.__name__,
+    )
     @pytest.mark.parametrize(
         "n", (2, 7, 1000, 2**31 + 11, 2**32 + 5, 2**33, 2**62)
     )
-    def test_singleton_batch_is_a_size_one_draw(self, n):
+    def test_singleton_batch_is_a_size_one_draw(self, n, bit_generator, buffered):
+        rng, twin = (np.random.Generator(bit_generator(n % 997)) for _ in range(2))
+        if buffered:
+            # an odd-bound draw takes 32 bits, and the 64-bit generators
+            # keep the other half of their output for the next such draw
+            rng.integers(0, 7), twin.integers(0, 7)
         # interleaved with restart coins, as svrg and sarah draw them
-        rng, twin = np.random.default_rng(n % 997), np.random.default_rng(n % 997)
         for _ in range(500):
             assert rng.random() == twin.random()
             got, want = sample_batch(rng, n, 1), twin.integers(0, n, size=1)
             assert got.dtype == want.dtype and got.shape == want.shape
             np.testing.assert_array_equal(got, want)
-        assert rng.bit_generator.state == twin.bit_generator.state
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
     def test_intermediate_batches_are_distinct_and_in_range(self):
         rng = np.random.default_rng(2)

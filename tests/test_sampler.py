@@ -8,7 +8,6 @@ import pytest
 
 import oracles
 from vrhmc.cli import _csv
-from vrhmc.integrator import noise_coefficients
 from vrhmc.metrics import GaussianSummary, bures_w2
 from vrhmc.estimators import ESTIMATOR_KINDS
 from vrhmc.potentials import LogisticPotential, PotentialModel, QuadraticPotential
@@ -60,7 +59,8 @@ def fake_record(positions, burn_in, iterations=None):
 # rows would pass a <= 0.0 check
 BAD_SAMPLER_FIELDS = [
     (dict(estimator="sgd"), "unknown estimator"),
-    (dict(n_steps=-1), "n_steps must be nonnegative"),
+    (dict(n_steps=-1), "n_steps must be at least 1"),
+    (dict(n_steps=0), "^n_steps must be at least 1, got 0$"),
     (dict(step=0.0), "step must be positive"),
     (dict(step=math.nan), "step must be positive"),
     (dict(step=math.inf), "step must be positive and finite"),
@@ -97,8 +97,8 @@ BAD_SAMPLER_FIELDS = [
     (dict(diagnostics="no"), "^diagnostics must be True or False, got 'no'$"),
     (dict(record_q=1), "^record_q must be True or False, got 1$"),
     (dict(record_velocity=None), "^record_velocity must be True or False, got None$"),
-    (dict(suppress_noise=np.bool_(True)),
-     "^suppress_noise must be True or False, got "),
+    (dict(record_velocity=np.bool_(True)),
+     "^record_velocity must be True or False, got "),
 ]
 
 
@@ -109,6 +109,10 @@ class TestConfigValidation:
         for bad, reason in BAD_SAMPLER_FIELDS:
             with pytest.raises(ValueError, match=reason):
                 SamplerConfig(**{**valid, **bad})
+
+    def test_has_no_noise_switch(self):
+        with pytest.raises(TypeError):
+            SamplerConfig(n_steps=10, step=0.1, burn_in=0, suppress_noise=True)
 
     def test_numpy_integer_counts_run(self):
         model = small_model()
@@ -134,29 +138,12 @@ class TestConfigValidation:
 
     def test_scalar_x0_broadcasts(self):
         model = small_model(d=3)
-        config = SamplerConfig(n_steps=0, step=0.1, burn_in=0, x0=0.5)
+        config = SamplerConfig(n_steps=1, step=0.1, burn_in=0, x0=0.5)
         record = run_chain(config, model)
         np.testing.assert_array_equal(record.positions[0], [0.5, 0.5, 0.5])
 
 
 class TestRunChain:
-    def test_zero_step_record(self):
-        model = small_model()
-        config = SamplerConfig(
-            n_steps=0, step=0.1, burn_in=0, diagnostics=True, record_q=True
-        )
-        record = run_chain(config, model)
-        assert record.iterations.shape == (1,)
-        assert record.iterations[0] == 0
-        np.testing.assert_array_equal(record.positions[0], np.zeros(2))
-        assert record.potentials[0] == pytest.approx(
-            model.potential_full(np.zeros(2))
-        )
-        assert np.isnan(record.grad_err_sq[0]) and np.isnan(record.q_values[0])
-        # the single row is past burn_in 0, so the tail statistics exist
-        assert record.mean_potential == pytest.approx(record.potentials[0])
-        assert record.final_cov is None
-
     def test_same_seed_is_bit_identical(self):
         model = small_model(seed=3)
         config = SamplerConfig(
@@ -212,42 +199,6 @@ class TestRunChain:
             record.final_cov, np.cov(positions.T, ddof=1), rtol=1e-10
         )
 
-    def test_noise_free_trajectory_matches_hand_recursion(self):
-        model = small_model(seed=4)
-        config = SamplerConfig(
-            n_steps=50,
-            step=0.2,
-            gamma=1.5,
-            xi=0.7,
-            burn_in=0,
-            suppress_noise=True,
-            x0=np.array([1.0, -2.0]),
-            record_velocity=True,
-        )
-        record = run_chain(config, model)
-        coeffs = noise_coefficients(config.dynamics(model))
-        x = np.array([1.0, -2.0])
-        v = np.zeros(2)
-        for k in range(50):
-            np.testing.assert_allclose(record.positions[k], x, rtol=1e-13)
-            np.testing.assert_allclose(
-                record.velocities[k], v, rtol=1e-13, atol=1e-15
-            )
-            g = model.gradient_full(x)
-            x, v = (
-                x + coeffs.c_xv * v - coeffs.c_xg * g,
-                coeffs.c_vv * v - coeffs.c_vg * g,
-            )
-
-    def test_noise_free_run_is_deterministic_across_seeds(self):
-        model = small_model()
-        base = dict(
-            n_steps=40, step=0.1, burn_in=0, suppress_noise=True, x0=1.0
-        )
-        a = run_chain(SamplerConfig(seed=0, **base), model)
-        b = run_chain(SamplerConfig(seed=123, **base), model)
-        np.testing.assert_array_equal(a.positions, b.positions)
-
     def test_q_values_describe_recorded_transitions(self):
         model = small_model(seed=6)
         config = SamplerConfig(
@@ -291,13 +242,9 @@ class TestRunChain:
         assert message.startswith("full chain 3 diverged at step")
         assert f"; norm {err.value.norm:.6g}, limit 1e+06; delta=80.0)" in message
 
-    def test_divergence_from_the_first_three_fields(self):
-        err = ChainDivergence(2, 17, 0.5)
-        assert (err.estimator, err.norm, err.limit) == (None, None, None)
-        assert str(err) == (
-            "chain 2 diverged at step 17 "
-            "(position norm exceeded 1e+06 x initial scale; delta=0.5)"
-        )
+    def test_divergence_needs_all_six_fields(self):
+        with pytest.raises(TypeError):
+            ChainDivergence(2, 17, 0.5)
 
 
 class TestTailFit:
