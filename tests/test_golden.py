@@ -5,7 +5,10 @@ estimator on a small quadratic and a small logistic target at batch
 sizes 1, 3 and N, and hash the recorded positions, velocities,
 potentials, queries and squared gradient errors. Output cases hash every
 file run_synthetic and run_logistic write for small configs, and the text
-print_advisory prints for both targets. The logistic runs cover a dense
+print_advisory prints for both targets. One synthetic run has the shape
+of the quad-ensemble benchmark (N = 1000, d = 5, b = 1, four chains,
+stride 10, all six methods), so the one-row path is pinned at the size
+it runs at. The logistic runs cover a dense
 toy input with and without standardization, a sparse input with
 explicit zeros, absent entries and constant columns (an intercept and an
 all-zero feature), standardized, and an input with {0, 1} labels, a
@@ -86,6 +89,7 @@ OUTPUT_HASHES = {
     "unstandardized-results": "b67ef7e7bbb315b41474e5847b49e6a713ec2e15bdceadedacfc8e82af5ed156",
     "sparse-results": "a0fff294d4b9b2d761b8b2affb7ca876afd713cc37e8e018d188945799fadaa9",
     "binary-results": "de011a4b6b5745a9b2eb69b27166042cf2800895dbaad1c25799b017c0be4f33",
+    "ensemble-results": "11fbf763ebb22b7f27c9b5809b069427c1d92a89229228622932244554ea6b45",
 }
 
 SYNTHETIC_CONFIG = """
@@ -106,6 +110,22 @@ record_q = true
 svrg.epoch = 3
 sarah.batch = 2
 sg.steps = 60
+"""
+
+# the quad-ensemble benchmark's shape at a fifth of its chain length
+ENSEMBLE_CONFIG = """
+experiment = synthetic
+methods = full, sg, svrg, saga, sarah, sarge
+n_components = 1000
+dimension = 5
+batch = 1
+steps = 300
+burn_in = 150
+stride = 10
+chains = 4
+step = 0.05
+seed = 21
+data_seed = 5
 """
 
 LOGISTIC_CONFIG = """
@@ -246,6 +266,7 @@ def write_binary_libsvm(path):
 # output case name -> (config text, writer of the data file it reads)
 INPUTS = {
     "synthetic": (SYNTHETIC_CONFIG, None),
+    "ensemble": (ENSEMBLE_CONFIG, None),
     "logistic": (LOGISTIC_CONFIG, lambda: write_libsvm("toy.libsvm")),
     "unstandardized": (
         LOGISTIC_CONFIG + "standardize = false\n",
@@ -282,6 +303,7 @@ OUTPUT_CASES = [
     "unstandardized-results",
     "sparse-results",
     "binary-results",
+    "ensemble-results",
 ]
 
 
