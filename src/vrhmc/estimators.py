@@ -37,10 +37,14 @@ one pass over the generator's raw outputs, _coin_and_index_draws, which
 yields the bits and the final generator state of the per-call coin and
 batch draws; other generators and batch sizes draw call by call.
 
-One-row batches (b = 1) take a row path with the bits of the batch path:
-_batch_sum adds 0.0 to the row instead of reducing it, and _commit_table
-writes the table row by integer index. Each choice is made from the
-batch's own row count.
+One-row batches (b = 1) take a row path with the bits of the batch path.
+The quadratic target computes the one anchor's row as a 1-D product,
+which runs the gemv numpy gives a one-row matrix. _batch_sum adds 0.0 to
+the row instead of reducing it. _residual_sum reads saga's and sarge's
+table row by integer index instead of gathering it with take, and
+applies the same subtraction and + 0.0. _commit_table writes the table
+row by integer index. Each choice is made from the batch's own row
+count.
 """
 
 from __future__ import annotations
@@ -233,7 +237,7 @@ class SagaEstimator(GradientEstimator):
         model = self.model
         self.query_count += len(batch)
         fresh = model.gradient_batch(batch, x)
-        residual_sum = _batch_sum(fresh - self.table.take(batch, axis=0))
+        residual_sum = _residual_sum(self.table, batch, fresh)
         if self._full_collapse:
             estimate = model.gradient_full(x)
         else:
@@ -340,7 +344,7 @@ class SargeEstimator(GradientEstimator):
         previous = model.gradient_batch(batch, self.prev_point)
         previous *= w
         fresh -= previous
-        residual_sum = _batch_sum(fresh - self.table.take(batch, axis=0))
+        residual_sum = _residual_sum(self.table, batch, fresh)
         if self._full_collapse:
             estimate = model.gradient_full(x)
         else:
@@ -429,6 +433,15 @@ def _batch_sum(rows):
     if len(rows) == 1:
         return rows[0] + 0.0
     return rows.sum(axis=0)
+
+
+def _residual_sum(table, batch, fresh):
+    # saga and sarge: the batch's fresh rows less their table rows, summed
+    # by _batch_sum. One row is indexed instead of gathered with take; the
+    # subtraction and the + 0.0 are _batch_sum's own
+    if len(batch) == 1:
+        return (fresh[0] - table[batch[0]]) + 0.0
+    return _batch_sum(fresh - table.take(batch, axis=0))
 
 
 def _commit_table(estimator, batch, fresh, residual_sum):

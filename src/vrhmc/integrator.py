@@ -246,7 +246,8 @@ def _advance(state, gradient, columns, noise):
     """
     v_column, g_column = columns
     advanced = v_column * state[1]
-    advanced[0] += state[0]
+    x_row = advanced[0]  # a view: the add writes the row in place
+    x_row += state[0]
     advanced -= g_column * gradient
     advanced += noise
     return advanced

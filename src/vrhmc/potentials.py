@@ -24,6 +24,9 @@ __all__ = [
     "softplus",
 ]
 
+# the dtype np.asarray(x, dtype=float) leaves an array in as it is
+_FLOAT64 = np.dtype(float)
+
 # mean and variance of QuadraticPotential.random's anchor coordinates
 _ANCHOR_MEAN = 2.0
 _ANCHOR_VARIANCE = 2.0
@@ -106,6 +109,16 @@ class PotentialModel:
         return np.array([self.gradient_full(p) for p in points]).reshape(points.shape)
 
     def _check_point(self, x):
+        """x as a float64 (d,) array; any other shape raises ValueError.
+
+        An array of type np.ndarray itself, with the native float64 dtype
+        and shape (d,), strided or not, comes back as the same object at
+        once, as np.asarray(x, dtype=float) would return it. Everything
+        else (sequences, other dtypes, byte-swapped arrays, subclasses)
+        goes through that conversion.
+        """
+        if type(x) is np.ndarray and x.dtype is _FLOAT64 and x.shape == (self.dimension,):
+            return x
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
             raise ValueError(
@@ -155,6 +168,7 @@ class QuadraticPotential(PotentialModel):
         self.dimension = d
         self.smoothness = 2.0 * float(eigvals[-1])
         self.strong_convexity = 2.0 * float(eigvals[0])
+        self._row_scale = 2.0 / n
         self._anchor_mean = data.mean(axis=0)
         # covariance of exp(-f): P^{-1} / 2, assembled from the eigenbasis
         self._covariance = (eigvecs / eigvals) @ eigvecs.T / 2.0
@@ -209,17 +223,19 @@ class QuadraticPotential(PotentialModel):
 
     def gradient_batch(self, indices, x):
         x = self._check_point(x)
-        if len(indices) == 1:
-            # a basic-index row skips take's gather for the same values;
-            # an out-of-range index raises IndexError as take does
-            diffs = (x - self.data[indices[0]])[None]
-        else:
-            diffs = self.data.take(indices, axis=0)
-            np.subtract(x, diffs, out=diffs)
         # d x d products use ndarray.dot: the BLAS call of @ without
         # matmul's ufunc dispatch, which costs more than the flops at small d
+        if len(indices) == 1:
+            # a basic-index row skips take's gather, and the 1-D product
+            # runs the gemv numpy gives a one-row matrix, so the bits are
+            # the same; an out-of-range index raises IndexError as take does
+            row = (x - self.data[indices[0]]).dot(self.precision)
+            row *= self._row_scale
+            return row[None]
+        diffs = self.data.take(indices, axis=0)
+        np.subtract(x, diffs, out=diffs)
         rows = diffs.dot(self.precision)
-        rows *= 2.0 / self.n_components
+        rows *= self._row_scale
         return rows
 
     def gradient_full(self, x):

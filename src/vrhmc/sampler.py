@@ -95,8 +95,9 @@ class SamplerConfig:
     to 2, which keeps delta = gamma xi h of order h/L. Diagnostics are
     off by default: the squared gradient error costs an exact gradient
     per recorded row (evaluated after the loop) and q values cost O(N d).
-    n_steps is at least 1, seed is a nonnegative integer, and the three
-    switches are True or False.
+    n_steps is at least 1, seed is a nonnegative integer, x0 (a point, or
+    a scalar for every coordinate) is finite, and the three switches are
+    True or False.
     """
 
     n_steps: int
@@ -131,6 +132,8 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be True or False, got {value!r}")
         if self.burn_in >= self.n_steps:
             raise ValueError("burn_in must be smaller than n_steps")
+        if self.x0 is not None and not np.isfinite(np.asarray(self.x0, dtype=float)).all():
+            raise ValueError(f"x0 must be finite, got {self.x0!r}")
 
     def resolve_xi(self, model):
         return self.xi if self.xi is not None else 1.0 / model.smoothness

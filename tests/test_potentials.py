@@ -212,6 +212,57 @@ class TestQuadraticPotential:
                 )
 
 
+class TestCheckPoint:
+    """_check_point against np.asarray(x, dtype=float) and the shape rule."""
+
+    @staticmethod
+    def reference(x, d):
+        x = np.asarray(x, dtype=float)
+        if x.shape != (d,):
+            raise ValueError(f"point has shape {x.shape}, expected ({d},)")
+        return x
+
+    def test_converts_like_asarray(self):
+        class Tagged(np.ndarray):
+            pass
+
+        model = random_quadratic(0, n=5, d=3)
+        values = [1.5, -0.0, 7.0]
+        inputs = {
+            "list": values,
+            "tuple": tuple(values),
+            "int array": np.array([1, -2, 7]),
+            "float32 array": np.array(values, dtype=np.float32),
+            "byte-swapped float64": np.array(values, dtype=np.float64).astype(">f8"),
+            "ndarray subclass": np.array(values).view(Tagged),
+        }
+        for name, x in inputs.items():
+            got = model._check_point(x)
+            want = self.reference(x, 3)
+            assert type(got) is np.ndarray and got.dtype == np.float64, name
+            assert got.dtype.isnative, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_refuses_other_shapes(self):
+        model = random_quadratic(0, n=5, d=3)
+        cases = {
+            "0-d array": (np.array(2.0), r"\(\)"),
+            "(d, 1)": (np.zeros((3, 1)), r"\(3, 1\)"),
+            "(d + 1,)": (np.zeros(4), r"\(4,\)"),
+            "(d + 1,) list": ([0.0] * 4, r"\(4,\)"),
+            "(d + 1,) float32": (np.zeros(4, dtype=np.float32), r"\(4,\)"),
+        }
+        for name, (x, shape) in cases.items():
+            with pytest.raises(ValueError, match=rf"^point has shape {shape}, expected \(3,\)$"):
+                model._check_point(x)
+
+    def test_native_float64_vector_comes_back_as_is(self):
+        model = random_quadratic(0, n=5, d=3)
+        buffer = np.arange(12.0).reshape(2, 6)
+        for x in (np.array([1.0, 2.0, 3.0]), buffer[0, ::2], buffer[1, 3:], buffer[:, 1][[0, 1, 0]]):
+            assert model._check_point(x) is x
+
+
 class TestQuadraticProductBits:
     """The quadratic target's d x d products against their @ expressions."""
 
@@ -241,21 +292,27 @@ class TestQuadraticProductBits:
 class TestQuadraticSingleIndex:
     """gradient_batch on one index against the take expression, byte for byte."""
 
-    def test_matches_take_expression_bitwise(self):
-        data = np.array([[0.0, 0.0, 1.0], [0.5, -1.0, 2.0], [-0.0, 3.0, 0.0]])
-        precision = np.array([[2.0, -0.5, 0.3], [-0.5, 1.5, -0.2], [0.3, -0.2, 1.0]])
-        model = QuadraticPotential(data=data, precision=precision)
-        # the anchors themselves (exactly zero gradients), signed zeros, and
-        # a strided view
-        points = [*data, np.array([-0.0, -0.0, 1.0]), np.array([0.0, -0.0, -0.0]),
-                  np.array([4.0, 0.0, -1.0, 7.0, 0.25, 9.0])[::2]]
+    @pytest.mark.parametrize("d", (1, 2, 5, 20, 112))
+    def test_matches_take_expression_bitwise(self, d):
+        n = 1000
+        model = random_quadratic(d, n=n, d=d)
+        data, precision = model.data, model.precision
+        data[0] = 0.0
+        data[1] = -0.0
+        rng = np.random.default_rng(100 + d)
+        # random points, the anchors themselves (exactly zero gradients),
+        # signed zeros and a strided view
+        points = [*(2.0 + 3.0 * rng.standard_normal((4, d))), *data[rng.integers(0, n, 3)],
+                  data[0], data[1], np.full(d, -0.0),
+                  (4.0 * rng.standard_normal(3 * d))[::3]]
+        indices = [0, 1, n - 1, -1, -n, *rng.integers(0, n, 6)]
         for x in points:
-            for i in (0, 1, 2, -1, -3):
+            for i in indices:
                 want = (x - data.take([i], axis=0)).dot(precision)
-                want *= 2.0 / model.n_components
+                want *= 2.0 / n
                 for batch in ([i], np.array([i])):
                     got = model.gradient_batch(batch, x)
-                    assert got.shape == (1, 3)
+                    assert got.shape == (1, d)
                     assert got.tobytes() == want.tobytes(), (x, i)
 
     def test_out_of_range_single_index_raises(self):

@@ -99,6 +99,9 @@ BAD_SAMPLER_FIELDS = [
     (dict(record_velocity=None), "^record_velocity must be True or False, got None$"),
     (dict(record_velocity=np.bool_(True)),
      "^record_velocity must be True or False, got "),
+    # a start that is not finite is refused before any sampling
+    (dict(x0=np.nan), "^x0 must be finite, got nan$"),
+    (dict(x0=[0, np.inf, 0]), r"^x0 must be finite, got \[0, inf, 0\]$"),
 ]
 
 
